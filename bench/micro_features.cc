@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "geo/geodesy.h"
+#include "serve/streaming_features.h"
 #include "stats/descriptive.h"
 #include "synthgeo/generator.h"
 #include "traj/point_features.h"
@@ -76,17 +77,57 @@ void BM_TrajectoryFeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_TrajectoryFeatureExtraction)->Range(64, 16384);
 
+// The six order statistics of one channel at segment close, with the
+// scratch reused as in TrajectoryFeatureExtractor. Sizes: 32 (a windowed
+// segment), 584 (the mean closed segment of the e2e trips workload at seed
+// 7: 700,000 points in 1,198 segments) and 4861 (a long one).
+void RunPercentiles(benchmark::State& state,
+                    const std::vector<double>& values) {
+  const std::vector<double> ps = {10.0, 25.0, 50.0, 75.0, 90.0};
+  std::vector<double> scratch;
+  std::vector<double> out(ps.size());
+  for (auto _ : state) {
+    stats::PercentilesInto(values, ps, scratch, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(values.size()));
+}
+
 void BM_Percentiles(benchmark::State& state) {
   Rng rng(5);
   std::vector<double> values(static_cast<size_t>(state.range(0)));
   for (auto& v : values) v = rng.Gaussian(0.0, 10.0);
-  const std::vector<double> ps = {10.0, 25.0, 50.0, 75.0, 90.0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::Percentiles(values, ps));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  RunPercentiles(state, values);
 }
-BENCHMARK(BM_Percentiles)->Range(64, 65536);
+BENCHMARK(BM_Percentiles)->Arg(32)->Arg(584)->Arg(4861);
+
+// Duplicate-heavy: a stationary stretch fills speed and the rate channels
+// with zeros and a few repeated values.
+void BM_PercentilesDuplicates(benchmark::State& state) {
+  Rng rng(5);
+  std::vector<double> values(static_cast<size_t>(state.range(0)));
+  for (auto& v : values) {
+    v = rng.NextBounded(2) == 0 ? 0.0 : static_cast<double>(rng.NextBounded(4));
+  }
+  RunPercentiles(state, values);
+}
+BENCHMARK(BM_PercentilesDuplicates)->Arg(584);
+
+// Per-point ingest of the serving path: StreamingFeatureExtractor::Add over
+// a 584-point segment, then Reset() as the session layer does at close.
+void BM_StreamingAdd(benchmark::State& state) {
+  const auto points = RandomWalkPoints(584);
+  serve::StreamingFeatureExtractor extractor;
+  for (auto _ : state) {
+    for (const auto& point : points) extractor.Add(point);
+    benchmark::DoNotOptimize(extractor.point_features().speed.data());
+    extractor.Reset();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(points.size()));
+}
+BENCHMARK(BM_StreamingAdd);
 
 void BM_Segmentation(benchmark::State& state) {
   synthgeo::GeneratorOptions options;

@@ -10,28 +10,53 @@ bool IsValid(const LatLon& p) {
          p.lon_deg <= 180.0;
 }
 
-double HaversineMeters(const LatLon& a, const LatLon& b) {
-  const double lat1 = DegToRad(a.lat_deg);
-  const double lat2 = DegToRad(b.lat_deg);
-  const double dlat = lat2 - lat1;
+namespace {
+
+// The haversine formula over cached latitude trig.
+double HaversineFromTrig(const LatLon& a, const LatTrig& a_trig,
+                         const LatLon& b, const LatTrig& b_trig) {
+  const double dlat = b_trig.lat_rad - a_trig.lat_rad;
   const double dlon = DegToRad(b.lon_deg - a.lon_deg);
   const double sin_dlat = std::sin(dlat / 2.0);
   const double sin_dlon = std::sin(dlon / 2.0);
   double h = sin_dlat * sin_dlat +
-             std::cos(lat1) * std::cos(lat2) * sin_dlon * sin_dlon;
+             a_trig.cos_lat * b_trig.cos_lat * sin_dlon * sin_dlon;
   h = std::clamp(h, 0.0, 1.0);
   return 2.0 * kEarthRadiusMeters * std::asin(std::sqrt(h));
 }
 
-double InitialBearingDeg(const LatLon& a, const LatLon& b) {
+// The forward-azimuth formula over cached latitude trig.
+double BearingFromTrig(const LatLon& a, const LatTrig& a_trig,
+                       const LatLon& b, const LatTrig& b_trig) {
   if (a == b) return 0.0;
-  const double lat1 = DegToRad(a.lat_deg);
-  const double lat2 = DegToRad(b.lat_deg);
   const double dlon = DegToRad(b.lon_deg - a.lon_deg);
-  const double y = std::sin(dlon) * std::cos(lat2);
-  const double x = std::cos(lat1) * std::sin(lat2) -
-                   std::sin(lat1) * std::cos(lat2) * std::cos(dlon);
+  const double y = std::sin(dlon) * b_trig.cos_lat;
+  const double x = a_trig.cos_lat * b_trig.sin_lat -
+                   a_trig.sin_lat * b_trig.cos_lat * std::cos(dlon);
   return NormalizeBearingDeg(RadToDeg(std::atan2(y, x)));
+}
+
+}  // namespace
+
+LatTrig LatitudeTrig(double lat_deg) {
+  const double lat_rad = DegToRad(lat_deg);
+  return {lat_rad, std::sin(lat_rad), std::cos(lat_rad)};
+}
+
+Leg LegBetween(const LatLon& a, const LatTrig& a_trig, const LatLon& b,
+               const LatTrig& b_trig) {
+  return {HaversineFromTrig(a, a_trig, b, b_trig),
+          BearingFromTrig(a, a_trig, b, b_trig)};
+}
+
+double HaversineMeters(const LatLon& a, const LatLon& b) {
+  return HaversineFromTrig(a, LatitudeTrig(a.lat_deg), b,
+                           LatitudeTrig(b.lat_deg));
+}
+
+double InitialBearingDeg(const LatLon& a, const LatLon& b) {
+  return BearingFromTrig(a, LatitudeTrig(a.lat_deg), b,
+                         LatitudeTrig(b.lat_deg));
 }
 
 LatLon Destination(const LatLon& origin, double bearing_deg,

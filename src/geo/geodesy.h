@@ -29,6 +29,30 @@ struct LatLon {
 /// True iff the coordinate is inside the valid WGS-84 ranges and finite.
 bool IsValid(const LatLon& p);
 
+/// The per-fix part of the haversine and bearing formulas: a latitude in
+/// radians with its sine and cosine. A trajectory computes it once per fix
+/// and shares it between the two legs that touch the fix.
+struct LatTrig {
+  double lat_rad = 0.0;
+  double sin_lat = 0.0;
+  double cos_lat = 1.0;
+};
+
+/// LatTrig of a latitude given in degrees.
+LatTrig LatitudeTrig(double lat_deg);
+
+/// One leg between consecutive fixes.
+struct Leg {
+  double distance_m = 0.0;
+  double bearing_deg = 0.0;
+};
+
+/// Distance and initial bearing from `a` to `b`, given each fix's
+/// LatitudeTrig. Bit-identical to {HaversineMeters(a, b),
+/// InitialBearingDeg(a, b)}, which are computed by the same expressions.
+Leg LegBetween(const LatLon& a, const LatTrig& a_trig, const LatLon& b,
+               const LatTrig& b_trig);
+
 /// Great-circle distance between two coordinates in meters using the
 /// haversine formula (the formula named in §3.2 of the paper).
 double HaversineMeters(const LatLon& a, const LatLon& b);

@@ -1,12 +1,11 @@
 #ifndef TRAJKIT_SERVE_STREAMING_FEATURES_H_
 #define TRAJKIT_SERVE_STREAMING_FEATURES_H_
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
 #include "common/result.h"
-#include "stats/descriptive.h"
+#include "geo/geodesy.h"
 #include "traj/point_features.h"
 #include "traj/trajectory_features.h"
 #include "traj/types.h"
@@ -29,8 +28,10 @@ namespace trajkit::serve {
 /// order-sensitive percentile/median features are the reason the channel
 /// values are buffered per open segment (the buffer is bounded by the
 /// session layer's max-window close rule) instead of folded into streaming
-/// accumulators; the streaming `stats::RunningStats` are additionally
-/// maintained per channel for zero-flush live monitoring.
+/// accumulators. Per point, Add() computes the new fix's latitude trig once
+/// and reuses the previous fix's for the leg (`geo::LegBetween`, the kernel
+/// the batch path shares); at close, the six order statistics per channel
+/// come from rank selection, not a full sort (`stats::PercentilesInto`).
 class StreamingFeatureExtractor {
  public:
   explicit StreamingFeatureExtractor(traj::PointFeatureOptions options = {})
@@ -42,12 +43,6 @@ class StreamingFeatureExtractor {
   /// Number of points ingested since construction / the last Reset().
   size_t num_points() const { return num_points_; }
 
-  /// Live Welford accumulator of a point-feature channel (index as in
-  /// `traj::ChannelNames()`): count/min/max/mean/stddev without a flush.
-  /// Tracks exactly the values the batch kernel would emit, including the
-  /// duplicated index-0 backfill.
-  const stats::RunningStats& LiveStats(int channel) const;
-
   /// The accumulated point-feature channels (index-aligned with the batch
   /// kernel's output for the same points).
   const traj::PointFeatures& point_features() const { return features_; }
@@ -57,15 +52,16 @@ class StreamingFeatureExtractor {
   /// reset; callers may keep streaming afterwards.
   Result<std::vector<double>> Flush() const;
 
-  /// Clears all state for reuse on the next segment.
+  /// Clears all state for reuse on the next segment. The channel buffers
+  /// keep their capacity, which is bounded by the longest segment seen.
   void Reset();
 
  private:
   traj::PointFeatureOptions options_;
   size_t num_points_ = 0;
   traj::TrajectoryPoint last_point_;
+  geo::LatTrig last_trig_;
   traj::PointFeatures features_;
-  std::array<stats::RunningStats, traj::kNumFeatureChannels> live_;
 };
 
 }  // namespace trajkit::serve

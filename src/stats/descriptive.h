@@ -33,13 +33,23 @@ double Median(std::span<const double> values);
 /// order statistics. `p` in [0, 100]. Precondition: non-empty.
 double Percentile(std::span<const double> values, double p);
 
-/// Computes several percentiles with a single sort.
+/// Computes several percentiles in one call (see PercentilesInto).
 std::vector<double> Percentiles(std::span<const double> values,
                                 std::span<const double> ps);
 
 /// Like Percentiles, but writes the ps.size() results into `out` and uses
-/// `scratch` for the sorted copy (refilled each call), so tight extraction
+/// `scratch` as the working copy (refilled each call), so tight extraction
 /// loops pay no per-call allocation. Precondition: out.size() == ps.size().
+///
+/// Only the order statistics the percentiles read are placed, by rank
+/// selection (a three-way partition around a median-of-three pivot;
+/// subranges of at most 64 values, or past ~2 log2(n) levels, are
+/// sorted). Each result is bit-identical to interpolating on a fully
+/// sorted copy, with one exception inherited from std::sort: when a
+/// percentile reads the last order statistic alone (p = 100, or a rank
+/// that rounds to n-1) and the maximum is a zero of both signs, which of
+/// +0/-0 comes back is unspecified. NaN inputs give unspecified values but
+/// the call returns.
 void PercentilesInto(std::span<const double> values,
                      std::span<const double> ps,
                      std::vector<double>& scratch, std::span<double> out);

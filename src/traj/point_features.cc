@@ -22,7 +22,7 @@ PointFeatures ComputePointFeatures(std::span<const TrajectoryPoint> points,
   f.bearing_rate_rate.resize(n);
 
   // One stride-1 loop per channel: the geodesy pass below isolates the
-  // libm calls (sin/cos/atan2 in haversine and bearing), and every
+  // libm calls (sin/cos/asin/atan2 of each leg), and every
   // derivative chain after it is a pure subtract/divide loop over already
   // materialized columns — the shape compilers auto-vectorize. Each
   // element's arithmetic is unchanged from the interleaved form, so the
@@ -33,9 +33,15 @@ PointFeatures ComputePointFeatures(std::span<const TrajectoryPoint> points,
     f.duration[i] =
         dt < options.min_duration_seconds ? options.min_duration_seconds : dt;
   }
+  // Each fix's latitude trig is computed once and shared by its two legs.
+  geo::LatTrig prev_trig = geo::LatitudeTrig(points[0].pos.lat_deg);
   for (size_t i = 1; i < n; ++i) {
-    f.distance[i] = geo::HaversineMeters(points[i - 1].pos, points[i].pos);
-    f.bearing[i] = geo::InitialBearingDeg(points[i - 1].pos, points[i].pos);
+    const geo::LatTrig trig = geo::LatitudeTrig(points[i].pos.lat_deg);
+    const geo::Leg leg =
+        geo::LegBetween(points[i - 1].pos, prev_trig, points[i].pos, trig);
+    f.distance[i] = leg.distance_m;
+    f.bearing[i] = leg.bearing_deg;
+    prev_trig = trig;
   }
   for (size_t i = 1; i < n; ++i) {
     f.speed[i] = f.distance[i] / f.duration[i];

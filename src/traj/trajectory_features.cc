@@ -69,14 +69,14 @@ std::vector<double> TrajectoryFeatureExtractor::ExtractFromPointFeatures(
     const PointFeatures& features) const {
   std::vector<double> out;
   out.reserve(kNumTrajectoryFeatures);
-  std::vector<double> sorted;  // Percentile scratch, reused across channels.
+  std::vector<double> scratch;  // Percentile scratch, reused across channels.
   std::array<double, kLocalPercentiles.size()> pct;
   for (int channel = 0; channel < kNumFeatureChannels; ++channel) {
     const std::span<const double> values = ChannelValues(features, channel);
     // All six order statistics (median + five local percentiles) share ONE
-    // sort per channel: Median(v) is defined as Percentile(v, 50), which is
-    // bit-identical to the p50 entry of the shared-sort batch below.
-    stats::PercentilesInto(values, kLocalPercentiles, sorted, pct);
+    // rank selection per channel: Median(v) is defined as
+    // Percentile(v, 50), which is bit-identical to the p50 entry below.
+    stats::PercentilesInto(values, kLocalPercentiles, scratch, pct);
     // Global features.
     out.push_back(stats::Min(values));
     out.push_back(stats::Max(values));

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "geo/geodesy.h"
@@ -51,6 +54,76 @@ TEST(GeodesyTest, BearingCardinalDirections) {
 TEST(GeodesyTest, BearingOfSamePointIsZero) {
   const LatLon p{10.0, 20.0};
   EXPECT_DOUBLE_EQ(InitialBearingDeg(p, p), 0.0);
+}
+
+// The haversine and bearing bodies as they were before the shared leg
+// kernel, kept verbatim as oracles.
+double ReferenceHaversineMeters(const LatLon& a, const LatLon& b) {
+  const double lat1 = DegToRad(a.lat_deg);
+  const double lat2 = DegToRad(b.lat_deg);
+  const double dlat = lat2 - lat1;
+  const double dlon = DegToRad(b.lon_deg - a.lon_deg);
+  const double sin_dlat = std::sin(dlat / 2.0);
+  const double sin_dlon = std::sin(dlon / 2.0);
+  double h = sin_dlat * sin_dlat +
+             std::cos(lat1) * std::cos(lat2) * sin_dlon * sin_dlon;
+  h = std::clamp(h, 0.0, 1.0);
+  return 2.0 * kEarthRadiusMeters * std::asin(std::sqrt(h));
+}
+
+double ReferenceInitialBearingDeg(const LatLon& a, const LatLon& b) {
+  if (a == b) return 0.0;
+  const double lat1 = DegToRad(a.lat_deg);
+  const double lat2 = DegToRad(b.lat_deg);
+  const double dlon = DegToRad(b.lon_deg - a.lon_deg);
+  const double y = std::sin(dlon) * std::cos(lat2);
+  const double x = std::cos(lat1) * std::sin(lat2) -
+                   std::sin(lat1) * std::cos(lat2) * std::cos(dlon);
+  return NormalizeBearingDeg(RadToDeg(std::atan2(y, x)));
+}
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+void ExpectLegMatchesReference(const LatLon& a, const LatLon& b) {
+  const double distance = ReferenceHaversineMeters(a, b);
+  const double bearing = ReferenceInitialBearingDeg(a, b);
+  const Leg leg =
+      LegBetween(a, LatitudeTrig(a.lat_deg), b, LatitudeTrig(b.lat_deg));
+  EXPECT_TRUE(SameBits(leg.distance_m, distance))
+      << a.lat_deg << "," << a.lon_deg << " -> " << b.lat_deg << ","
+      << b.lon_deg << ": " << leg.distance_m << " vs " << distance;
+  EXPECT_TRUE(SameBits(leg.bearing_deg, bearing))
+      << a.lat_deg << "," << a.lon_deg << " -> " << b.lat_deg << ","
+      << b.lon_deg << ": " << leg.bearing_deg << " vs " << bearing;
+  EXPECT_TRUE(SameBits(HaversineMeters(a, b), distance));
+  EXPECT_TRUE(SameBits(InitialBearingDeg(a, b), bearing));
+}
+
+TEST(GeodesyTest, LegKernelBitIdenticalToReferenceFormulas) {
+  Rng rng(31);
+  // Random pairs anywhere, and short city-scale hops like GPS fixes.
+  for (int i = 0; i < 20000; ++i) {
+    const LatLon a{rng.Uniform(-90.0, 90.0), rng.Uniform(-180.0, 180.0)};
+    ExpectLegMatchesReference(
+        a, LatLon{rng.Uniform(-90.0, 90.0), rng.Uniform(-180.0, 180.0)});
+    ExpectLegMatchesReference(
+        a, LatLon{std::clamp(a.lat_deg + rng.Gaussian(0.0, 1e-4), -90.0, 90.0),
+                  a.lon_deg + rng.Gaussian(0.0, 1e-4)});
+  }
+  const std::vector<LatLon> special = {
+      {0.0, 0.0},     {39.9, 116.4},   {39.9, 116.4},  {90.0, 0.0},
+      {90.0, 45.0},   {-90.0, 0.0},    {-90.0, -170.0}, {0.0, 180.0},
+      {0.0, -180.0},  {10.0, 179.999}, {10.0, -179.999}, {-0.0, -0.0},
+      {45.0, 90.0},   {-45.0, -90.0},  {1e-300, 1e-300}, {89.9999, 180.0}};
+  // Identical points, poles, the antimeridian and antipodes.
+  for (const LatLon& a : special) {
+    for (const LatLon& b : special) ExpectLegMatchesReference(a, b);
+    ExpectLegMatchesReference(a, LatLon{-a.lat_deg, a.lon_deg < 0.0
+                                                        ? a.lon_deg + 180.0
+                                                        : a.lon_deg - 180.0});
+  }
 }
 
 TEST(GeodesyTest, NormalizeBearing) {

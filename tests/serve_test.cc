@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <set>
 #include <string>
@@ -30,6 +32,7 @@
 #include "serve/serving_plane.h"
 #include "serve/session_manager.h"
 #include "serve/statusz.h"
+#include "stats/descriptive.h"
 #include "synthgeo/generator.h"
 #include "traj/point_features.h"
 #include "traj/segmentation.h"
@@ -160,25 +163,111 @@ TEST(StreamingFeaturesTest, BitIdenticalWithUnwrappedBearings) {
   }
 }
 
-TEST(StreamingFeaturesTest, LiveStatsTrackBatchChannels) {
-  Rng rng(3);
-  const auto points = RandomSegmentPoints(rng, 40);
-  StreamingFeatureExtractor streaming;
+// Long segments with runs of repeated positions: every fix of a run
+// repeats the previous one, so the bearing takes its a == b branch and the
+// distance, speed and rate channels fill with zeros.
+std::vector<traj::TrajectoryPoint> StationaryRunPoints(Rng& rng, size_t n) {
+  std::vector<traj::TrajectoryPoint> points;
+  points.reserve(n);
+  double t = 1.2e9;
+  double lat = 39.9 + rng.Gaussian(0.0, 0.05);
+  double lon = 116.3 + rng.Gaussian(0.0, 0.05);
+  size_t run = 0;
+  for (size_t i = 0; i < n; ++i) {
+    traj::TrajectoryPoint point;
+    point.pos = {lat, lon};
+    point.timestamp = t;
+    point.mode = traj::Mode::kBus;
+    points.push_back(point);
+    t += rng.NextBounded(6) == 0 ? 0.0 : rng.Uniform(0.5, 10.0);
+    if (run > 0) {
+      --run;
+    } else if (rng.NextBounded(3) == 0) {
+      run = 1 + rng.NextBounded(60);
+    } else {
+      lat += rng.Gaussian(0.0, 2e-4);
+      lon += rng.Gaussian(0.0, 2e-4);
+    }
+  }
+  return points;
+}
+
+// The 70-vector computed with a full std::sort per channel: the feature
+// definition the selection kernel must reproduce bit for bit.
+std::vector<double> SortReferenceFeatures(const traj::PointFeatures& batch) {
+  std::vector<double> out;
+  for (int channel = 0; channel < traj::kNumFeatureChannels; ++channel) {
+    const std::span<const double> values = traj::ChannelValues(batch, channel);
+    std::vector<double> sorted(values.begin(), values.end());
+    std::sort(sorted.begin(), sorted.end());
+    const auto percentile = [&sorted](double p) {
+      const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
+      const double lo_rank = std::floor(rank);
+      const size_t lo = static_cast<size_t>(lo_rank);
+      return sorted[lo] + (rank - lo_rank) * (sorted[lo + 1] - sorted[lo]);
+    };
+    out.push_back(stats::Min(values));
+    out.push_back(stats::Max(values));
+    out.push_back(stats::Mean(values));
+    out.push_back(percentile(50.0));
+    out.push_back(stats::StdDev(values));
+    for (const double p : {10.0, 25.0, 50.0, 75.0, 90.0}) {
+      out.push_back(percentile(p));
+    }
+  }
+  return out;
+}
+
+void ExpectStreamingParity(const std::vector<traj::TrajectoryPoint>& points,
+                           StreamingFeatureExtractor& streaming) {
+  streaming.Reset();
   for (const auto& point : points) streaming.Add(point);
+  const auto flushed = streaming.Flush();
+  ASSERT_TRUE(flushed.ok());
   const traj::PointFeatures batch = traj::ComputePointFeatures(points);
   for (int channel = 0; channel < traj::kNumFeatureChannels; ++channel) {
-    const std::span<const double> values =
+    const std::span<const double> online =
+        traj::ChannelValues(streaming.point_features(), channel);
+    const std::span<const double> offline =
         traj::ChannelValues(batch, channel);
-    const stats::RunningStats& live = streaming.LiveStats(channel);
-    ASSERT_EQ(live.count(), values.size());
-    double lo = values[0], hi = values[0];
-    for (const double v : values) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    EXPECT_EQ(live.min(), lo);
-    EXPECT_EQ(live.max(), hi);
+    ASSERT_EQ(online.size(), offline.size());
+    EXPECT_EQ(std::memcmp(online.data(), offline.data(),
+                          online.size() * sizeof(double)),
+              0)
+        << "channel " << channel << " n=" << points.size();
   }
+  const std::vector<double> offline = BatchFeatures(points);
+  const std::vector<double> reference = SortReferenceFeatures(batch);
+  ASSERT_EQ(flushed.value().size(), offline.size());
+  ASSERT_EQ(reference.size(), offline.size());
+  // memcmp: the stationary runs make many zeros, whose sign must match.
+  EXPECT_EQ(std::memcmp(flushed.value().data(), offline.data(),
+                        offline.size() * sizeof(double)),
+            0)
+      << "n=" << points.size();
+  EXPECT_EQ(std::memcmp(reference.data(), offline.data(),
+                        offline.size() * sizeof(double)),
+            0)
+      << "n=" << points.size();
+}
+
+TEST(StreamingFeaturesTest, BitIdenticalOnLongAndStationarySegments) {
+  Rng rng(61);
+  // One extractor across trials: Reset() keeps the buffers' capacity, and
+  // nothing of a longer earlier segment may leak into a shorter one.
+  StreamingFeatureExtractor streaming;
+  for (const size_t n : {200u, 584u, 1000u, 4861u, 5000u, 300u}) {
+    ExpectStreamingParity(RandomSegmentPoints(rng, n), streaming);
+    ExpectStreamingParity(StationaryRunPoints(rng, n), streaming);
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    ExpectStreamingParity(StationaryRunPoints(rng, 2 + rng.NextBounded(400)),
+                          streaming);
+  }
+  // A segment that never moves: every leg is a == b.
+  std::vector<traj::TrajectoryPoint> still = StationaryRunPoints(rng, 300);
+  for (auto& point : still) point.pos = still.front().pos;
+  ExpectStreamingParity(still, streaming);
 }
 
 TEST(StreamingFeaturesTest, FlushNeedsTwoPointsAndResetClears) {

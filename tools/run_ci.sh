@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # TrajKit CI driver, run locally or by .github/workflows/ci.yml:
 #
-#   1. tier-1: configure (-Werror) + build + full ctest
+#   1. tier-1: configure (-Werror) + build + full ctest, then the
+#      end-to-end smoke (bench/e2e/run.py --smoke): all four serving
+#      workloads on a small corpus, failing on any correctness check
 #   2. shard determinism: the same replay corpus at --shards=1/2/8 must
 #      produce byte-identical predictions, lifecycle accounting, and
 #      deterministic metrics (tools/check_shard_metrics.py)
@@ -65,6 +67,14 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 
 echo "==> tier-1: ctest"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+# End-to-end smoke: builds the e2e driver into build-e2e/ and runs the
+# trips, windowed, ct and live workloads on 6 users x 2 days. It exits
+# nonzero when a correctness check fails: offline_parity,
+# answers_match_predict_one, live_matches_windowed, digest_stable, the
+# per-pass lifecycle accounting or the ct tally.
+echo "==> e2e smoke: bench/e2e/run.py --smoke"
+python3 bench/e2e/run.py --smoke
 
 # Shard-determinism matrix: the sharding refactor must be invisible to
 # the replayed workload. One corpus, one model, three shard counts —
