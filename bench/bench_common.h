@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,10 +42,24 @@ inline synthgeo::GeneratorOptions CorpusOptionsFromFlags(
   return options;
 }
 
+/// The facts that make two timing runs comparable, as (key, value) text
+/// pairs: logical CPUs, compiler and CMake build type (bench/CMakeLists.txt
+/// bakes in the last two). The source commit is not a binary fact:
+/// tools/check_bench.py --update records it when it writes the baseline.
+inline std::vector<std::pair<std::string, std::string>> HostFacts() {
+  return {
+      {"nproc", std::to_string(std::thread::hardware_concurrency())},
+      {"compiler", TRAJKIT_HOST_COMPILER},
+      {"build_type", TRAJKIT_HOST_BUILD_TYPE},
+  };
+}
+
 /// Collects named wall-clock phase timings and, when --timing_json=<path>
 /// was given, writes them as one JSON object — the machine-readable perf
 /// trajectory consumed by BENCH_*.json tooling (tools/check_bench.py):
-///   {"harness": "...", "threads": N, "timings_s": {"phase": 1.23, ...}}
+///   {"harness": "...", "threads": N,
+///    "host": {"nproc": "4", "compiler": ..., "build_type": ...},
+///    "timings_s": {"phase": 1.23, ...}}
 /// Record() keeps insertion order; duplicate names are emitted as given.
 /// Write() additionally honors the shared --metrics_json=<path> flag: the
 /// process metrics registry (counters, gauges, latency histograms with
@@ -88,6 +103,13 @@ class TimingJson {
     }
     std::fprintf(out, "{\n  \"harness\": \"%s\",\n  \"threads\": %d,\n",
                  harness_, MaxThreads());
+    std::fprintf(out, "  \"host\": {");
+    const auto facts = HostFacts();
+    for (size_t i = 0; i < facts.size(); ++i) {
+      std::fprintf(out, "%s\"%s\": \"%s\"", i == 0 ? "" : ", ",
+                   facts[i].first.c_str(), facts[i].second.c_str());
+    }
+    std::fprintf(out, "},\n");
     std::fprintf(out, "  \"timings_s\": {");
     for (size_t i = 0; i < entries_.size(); ++i) {
       std::fprintf(out, "%s\n    \"%s\": %.6f", i == 0 ? "" : ",",

@@ -127,6 +127,44 @@ void BM_ForestPredictSingleRow(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestPredictSingleRow)->Arg(0)->Arg(1);
 
+// The serving predict: labels and probabilities for a batch of
+// range(0) rows, Arg(1)=0 as the two separate calls (two descents per row
+// and tree), Arg(1)=1 as the one-pass kernel (one descent feeding both
+// accumulators). Batch sizes span the lone row of light online load to a
+// full 64-row block.
+void BM_FlatPredictWithProba(benchmark::State& state) {
+  const Dataset ds = SyntheticFeatures(1024, 70, 5, 3);
+  RandomForestParams params;
+  params.n_estimators = 50;
+  RandomForest forest(params);
+  (void)forest.Fit(ds);
+  (void)forest.CompileFlat();
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const bool one_pass = state.range(1) == 1;
+  ml::Matrix batch(rows, ds.num_features());
+  std::vector<int> labels;
+  ml::Matrix probabilities;
+  size_t next = 0;
+  for (auto _ : state) {
+    for (size_t r = 0; r < rows; ++r) {
+      const std::span<const double> row = ds.features().Row(next);
+      std::copy(row.begin(), row.end(), batch.MutableRow(r).begin());
+      next = (next + 1) % ds.num_samples();
+    }
+    if (one_pass) {
+      (void)forest.PredictWithProba(batch, &labels, &probabilities);
+      benchmark::DoNotOptimize(labels.data());
+      benchmark::DoNotOptimize(probabilities.data().data());
+    } else {
+      benchmark::DoNotOptimize(forest.Predict(batch));
+      benchmark::DoNotOptimize(forest.PredictProba(batch));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FlatPredictWithProba)
+    ->ArgsProduct({{1, 8, 64}, {0, 1}});
+
 void BM_GradientBoostingFit(benchmark::State& state) {
   const Dataset ds = SyntheticFeatures(1024, 70, 5, 4);
   for (auto _ : state) {
@@ -139,7 +177,8 @@ void BM_GradientBoostingFit(benchmark::State& state) {
 BENCHMARK(BM_GradientBoostingFit)->Arg(10)->Arg(30);
 
 /// Fixed-size gate workload behind --timing_json: flat vs pointer forest
-/// inference (batched and single-row) plus the point-feature kernels, as
+/// inference (batched and single-row), the one-pass labels+probabilities
+/// kernel vs the two separate calls, plus the point-feature kernels, as
 /// wall-clock phases tools/check_bench.py tracks against BENCH_baseline.json.
 /// The CI leg runs it with --threads=1 and a benchmark filter matching
 /// nothing, so the phases are the entire measured work.
@@ -199,6 +238,42 @@ int RunTimingGate(const trajkit::HarnessOptions& harness) {
     benchmark::DoNotOptimize(flat.Predict(one));
   }
   timing.RecordLap("predict_flat_single_s", watch);
+
+  // The serving predict, labels plus probabilities, as the two separate
+  // calls and as the one-pass kernel: the whole set in 64-row batches,
+  // then row by row (the shape a lightly loaded predictor sees).
+  std::vector<int> labels;
+  ml::Matrix probabilities;
+  for (int i = 0; i < kFlatBatchReps; ++i) {
+    benchmark::DoNotOptimize(flat.Predict(ds.features()));
+    benchmark::DoNotOptimize(flat.PredictProba(ds.features()));
+  }
+  timing.Record("predict_proba_two_pass_batch_s",
+                watch.ElapsedSeconds() / kFlatBatchReps);
+  watch.Reset();
+  for (int i = 0; i < kFlatBatchReps; ++i) {
+    if (!flat.PredictWithProba(ds.features(), &labels, &probabilities).ok()) {
+      return 1;
+    }
+    benchmark::DoNotOptimize(labels.data());
+  }
+  timing.Record("predict_proba_one_pass_batch_s",
+                watch.ElapsedSeconds() / kFlatBatchReps);
+  watch.Reset();
+  for (size_t r = 0; r < kRows; ++r) {
+    const std::span<const double> row = ds.features().Row(r);
+    std::copy(row.begin(), row.end(), one.MutableRow(0).begin());
+    benchmark::DoNotOptimize(flat.Predict(one));
+    benchmark::DoNotOptimize(flat.PredictProba(one));
+  }
+  timing.RecordLap("predict_proba_two_pass_single_s", watch);
+  for (size_t r = 0; r < kRows; ++r) {
+    const std::span<const double> row = ds.features().Row(r);
+    std::copy(row.begin(), row.end(), one.MutableRow(0).begin());
+    if (!flat.PredictWithProba(one, &labels, &probabilities).ok()) return 1;
+    benchmark::DoNotOptimize(labels.data());
+  }
+  timing.RecordLap("predict_proba_one_pass_single_s", watch);
 
   // Point-feature kernels: 64 synthetic segments of 1024 fixes through the
   // full 70-feature extraction (columnar channel loops + shared-sort

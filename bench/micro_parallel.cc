@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/harness_options.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
@@ -133,6 +134,11 @@ int main(int argc, char** argv) {
   const trajkit::HarnessOptions harness =
       trajkit::HarnessOptions::FromArgv(&argc, argv);
   harness.ApplyThreads();
+  // The same host facts a TimingJson artifact carries, in the JSON
+  // context (tools/check_bench.py reads them back as host_<key>).
+  for (const auto& [key, value] : trajkit::bench::HostFacts()) {
+    benchmark::AddCustomContext("host_" + key, value);
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -22,6 +22,57 @@ constexpr size_t kBlockRows = 64;
 constexpr int16_t kQuantLeafSentinel = std::numeric_limits<int16_t>::min();
 constexpr int16_t kQuantNanValue = std::numeric_limits<int16_t>::max();
 
+/// Runs fn(begin, end) over the kBlockRows-row blocks of [0, n) on the
+/// shared pool; a single block runs inline. Blocks write disjoint output
+/// rows and each row accumulates its leaves in tree order, so results are
+/// bit-identical at any thread count and to the per-row pointer walk.
+template <typename Fn>
+void ForEachBlock(size_t n, const Fn& fn) {
+  if (n == 0) return;
+  const size_t num_blocks = (n + kBlockRows - 1) / kBlockRows;
+  if (num_blocks == 1) {
+    fn(0, n);
+    return;
+  }
+  const Status status = ParallelFor(0, num_blocks, 1, [&](size_t b) {
+    const size_t begin = b * kBlockRows;
+    fn(begin, std::min(begin + kBlockRows, n));
+  });
+  TRAJKIT_CHECK(status.ok()) << status.ToString();
+}
+
+/// One block's raw vote sums, zeroed: on the stack for up to 32 classes,
+/// on the heap beyond.
+class BlockVotes {
+ public:
+  explicit BlockVotes(size_t size) : size_(size) {
+    if (size > std::size(stack_)) {
+      heap_.resize(size);
+      data_ = heap_.data();
+    }
+    std::fill(data_, data_ + size, 0.0);
+  }
+  BlockVotes(const BlockVotes&) = delete;
+  BlockVotes& operator=(const BlockVotes&) = delete;
+
+  double* data() { return data_; }
+
+  /// Writes each row's argmax (the first maximum, as std::max_element
+  /// picks it) to out[r].
+  void ArgmaxInto(size_t k, int* out) const {
+    for (size_t r = 0; r < size_ / k; ++r) {
+      const double* row = data_ + r * k;
+      out[r] = static_cast<int>(std::max_element(row, row + k) - row);
+    }
+  }
+
+ private:
+  size_t size_;
+  double stack_[kBlockRows * 32];
+  std::vector<double> heap_;
+  double* data_ = stack_;
+};
+
 }  // namespace
 
 size_t FlatForestScratch::DistributionHash::operator()(
@@ -285,78 +336,73 @@ void FlatForest::AccumulateVotes(std::span<const double> row, double scale,
   }
 }
 
-void FlatForest::AccumulateBlock(const Matrix& features, size_t begin,
-                                 size_t end, double scale,
-                                 double* acc) const {
+template <typename Visit>
+void FlatForest::VisitLeaves(const Matrix& features, size_t begin,
+                             size_t end, Visit&& visit) const {
   const size_t block = end - begin;
   TRAJKIT_CHECK_LE(block, kBlockRows);
-  const size_t k = static_cast<size_t>(num_classes_);
-  std::fill(acc, acc + block * k, 0.0);
-
   const double* rows[kBlockRows];
   for (size_t r = 0; r < block; ++r) {
     rows[r] = features.Row(begin + r).data();
   }
-  int32_t cursor[kBlockRows];
-
-  const int32_t* const feature = feature_.data();
-  const int32_t* const child = child_.data();
-  const int32_t* const dist_offset = dist_offset_.data();
-  const double* const table = dist_table_.data();
-
   if (!quantized()) {
-    const double* const threshold = threshold_.data();
-    for (size_t t = 0; t < roots_.size(); ++t) {
-      const int32_t root = roots_[t];
-      const int32_t depth = depths_[t];
-      for (size_t r = 0; r < block; ++r) cursor[r] = root;
-      // Level-cohort descent: every row advances one level per sweep; rows
-      // already at a leaf self-loop, so no per-row termination test and the
-      // inner loop is a straight-line gather + compare + offset add.
-      for (int32_t level = 0; level < depth; ++level) {
-        for (size_t r = 0; r < block; ++r) {
-          const int32_t i = cursor[r];
-          const int32_t f = feature[i];
-          const double v = rows[r][f < 0 ? 0 : f];
-          cursor[r] =
-              child[i] + static_cast<int32_t>(!(v <= threshold[i]));
-        }
-      }
-      for (size_t r = 0; r < block; ++r) {
-        const double* dist = table + dist_offset[cursor[r]];
-        double* a = acc + r * k;
-        for (size_t c = 0; c < k; ++c) a[c] += dist[c] * scale;
-      }
-    }
+    DescendCohorts(rows, block, threshold_.data(), visit);
     return;
   }
-
   // Quantized path: rows are lowered to int16 once per block, then every
   // tree compares 2-byte lanes (half the node-pool bytes of the exact
   // form in the comparison stream).
   std::vector<int16_t> qrows(block * num_features_);
+  const int16_t* qrow_ptrs[kBlockRows];
   for (size_t r = 0; r < block; ++r) {
+    qrow_ptrs[r] = qrows.data() + r * num_features_;
     QuantizeRow(std::span<const double>(rows[r], features.cols()),
                 qrows.data() + r * num_features_);
   }
-  const int16_t* const qthreshold = qthreshold_.data();
-  for (size_t t = 0; t < roots_.size(); ++t) {
-    const int32_t root = roots_[t];
-    const int32_t depth = depths_[t];
-    for (size_t r = 0; r < block; ++r) cursor[r] = root;
-    for (int32_t level = 0; level < depth; ++level) {
+  DescendCohorts(qrow_ptrs, block, qthreshold_.data(), visit);
+}
+
+template <typename T, typename Visit>
+void FlatForest::DescendCohorts(const T* const* rows, size_t block,
+                                const T* threshold, Visit& visit) const {
+  const int32_t* const feature = feature_.data();
+  const int32_t* const child = child_.data();
+  const int32_t* const dist_offset = dist_offset_.data();
+  const double* const table = dist_table_.data();
+  // A lane is one (tree, row) descent. Small blocks take several trees per
+  // cohort, so even a lone row keeps kBlockRows independent descents in
+  // flight instead of one dependent chain of loads per tree.
+  const size_t trees_per_cohort = kBlockRows / block;
+  int32_t cursor[kBlockRows];
+  const T* lane_row[kBlockRows];
+  for (size_t first = 0; first < roots_.size(); first += trees_per_cohort) {
+    const size_t last = std::min(first + trees_per_cohort, roots_.size());
+    const size_t lanes = (last - first) * block;
+    int32_t depth = 0;
+    for (size_t t = first; t < last; ++t) {
+      depth = std::max(depth, depths_[t]);
       for (size_t r = 0; r < block; ++r) {
-        const int32_t i = cursor[r];
-        const int32_t f = feature[i];
-        const int16_t v = qrows[r * num_features_ +
-                                static_cast<size_t>(f < 0 ? 0 : f)];
-        cursor[r] = child[i] + static_cast<int32_t>(!(v <= qthreshold[i]));
+        cursor[(t - first) * block + r] = roots_[t];
+        lane_row[(t - first) * block + r] = rows[r];
       }
     }
-    for (size_t r = 0; r < block; ++r) {
-      const double* dist = table + dist_offset[cursor[r]];
-      double* a = acc + r * k;
-      for (size_t c = 0; c < k; ++c) a[c] += dist[c] * scale;
+    // Level-cohort descent: every lane advances one level per sweep; lanes
+    // already at a leaf self-loop, so no per-lane termination test and the
+    // inner loop is a straight-line gather + compare + offset add.
+    for (int32_t level = 0; level < depth; ++level) {
+      for (size_t l = 0; l < lanes; ++l) {
+        const int32_t i = cursor[l];
+        const int32_t f = feature[i];
+        const T v = lane_row[l][f < 0 ? 0 : f];
+        cursor[l] = child[i] + static_cast<int32_t>(!(v <= threshold[i]));
+      }
+    }
+    // Lanes run tree-major, so each row meets its leaves in tree order.
+    const int32_t* leaf = cursor;
+    for (size_t t = first; t < last; ++t) {
+      for (size_t r = 0; r < block; ++r) {
+        visit(r, table + dist_offset[*leaf++]);
+      }
     }
   }
 }
@@ -365,51 +411,58 @@ std::vector<int> FlatForest::Predict(const Matrix& features) const {
   TRAJKIT_CHECK_GE(features.cols(), num_features_);
   const size_t n = features.rows();
   std::vector<int> out(n);
-  if (n == 0) return out;
   const size_t k = static_cast<size_t>(num_classes_);
-  const size_t num_blocks = (n + kBlockRows - 1) / kBlockRows;
-  // Blocks write disjoint out[] slots and each row accumulates its votes
-  // in tree order, so the result is bit-identical at any thread count and
-  // to the per-row pointer walk.
-  const Status status = ParallelFor(0, num_blocks, 1, [&](size_t b) {
-    const size_t begin = b * kBlockRows;
-    const size_t end = std::min(begin + kBlockRows, n);
-    double acc[kBlockRows * 32];
-    std::vector<double> heap;
-    double* block_acc = acc;
-    if ((end - begin) * k > std::size(acc)) {
-      heap.resize((end - begin) * k);
-      block_acc = heap.data();
-    }
-    AccumulateBlock(features, begin, end, 1.0, block_acc);
-    for (size_t r = begin; r < end; ++r) {
-      const double* row_acc = block_acc + (r - begin) * k;
-      out[r] = static_cast<int>(
-          std::max_element(row_acc, row_acc + k) - row_acc);
-    }
+  ForEachBlock(n, [&](size_t begin, size_t end) {
+    BlockVotes votes((end - begin) * k);
+    VisitLeaves(features, begin, end, [&](size_t r, const double* dist) {
+      double* v = votes.data() + r * k;
+      for (size_t c = 0; c < k; ++c) v[c] += dist[c];
+    });
+    votes.ArgmaxInto(k, out.data() + begin);
   });
-  TRAJKIT_CHECK(status.ok()) << status.ToString();
   return out;
 }
 
 Matrix FlatForest::PredictProba(const Matrix& features) const {
   TRAJKIT_CHECK_GE(features.cols(), num_features_);
+  const size_t k = static_cast<size_t>(num_classes_);
+  Matrix probs(features.rows(), k);
+  const double inv = 1.0 / static_cast<double>(roots_.size());
+  ForEachBlock(features.rows(), [&](size_t begin, size_t end) {
+    // Rows are contiguous in the row-major output, so the block
+    // accumulates straight into the (zero-initialized) result matrix.
+    double* const block = probs.MutableRow(begin).data();
+    VisitLeaves(features, begin, end, [&](size_t r, const double* dist) {
+      double* p = block + r * k;
+      for (size_t c = 0; c < k; ++c) p[c] += dist[c] * inv;
+    });
+  });
+  return probs;
+}
+
+void FlatForest::PredictWithProba(const Matrix& features,
+                                  std::span<int> labels,
+                                  std::span<double> probabilities) const {
+  TRAJKIT_CHECK_GE(features.cols(), num_features_);
   const size_t n = features.rows();
   const size_t k = static_cast<size_t>(num_classes_);
-  Matrix probs(n, k);
-  if (n == 0) return probs;
+  TRAJKIT_CHECK_EQ(labels.size(), n);
+  TRAJKIT_CHECK_EQ(probabilities.size(), n * k);
   const double inv = 1.0 / static_cast<double>(roots_.size());
-  const size_t num_blocks = (n + kBlockRows - 1) / kBlockRows;
-  const Status status = ParallelFor(0, num_blocks, 1, [&](size_t b) {
-    const size_t begin = b * kBlockRows;
-    const size_t end = std::min(begin + kBlockRows, n);
-    // Rows are contiguous in the row-major output, so the block kernel
-    // accumulates straight into the result matrix.
-    AccumulateBlock(features, begin, end, inv,
-                    probs.MutableRow(begin).data());
+  ForEachBlock(n, [&](size_t begin, size_t end) {
+    BlockVotes votes((end - begin) * k);
+    double* const block = probabilities.data() + begin * k;
+    std::fill(block, block + (end - begin) * k, 0.0);
+    VisitLeaves(features, begin, end, [&](size_t r, const double* dist) {
+      double* v = votes.data() + r * k;
+      double* p = block + r * k;
+      for (size_t c = 0; c < k; ++c) {
+        v[c] += dist[c];
+        p[c] += dist[c] * inv;
+      }
+    });
+    votes.ArgmaxInto(k, labels.data() + begin);
   });
-  TRAJKIT_CHECK(status.ok()) << status.ToString();
-  return probs;
 }
 
 FlatForestStats FlatForest::Stats() const {

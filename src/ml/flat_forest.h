@@ -93,9 +93,19 @@ class FlatForest {
   /// Per-class probabilities; bit-identical to RandomForest::PredictProba.
   Matrix PredictProba(const Matrix& features) const;
 
-  /// Single-row kernel: adds `scale * leaf_distribution` over all trees
-  /// into `acc` (size num_classes), in tree order. The building block the
-  /// batched paths and the serving single-row path share.
+  /// Predict and PredictProba from one descent per row and tree: the leaf
+  /// a row reaches feeds two accumulators, the raw vote sums behind the
+  /// argmax label and the 1/num_trees-scaled sums of the probabilities,
+  /// each with the adds of its two-call counterpart. `labels` (size rows)
+  /// and `probabilities` (rows x num_classes, row-major) are therefore
+  /// bit-identical to Predict and PredictProba at any thread count. Writes
+  /// only into the caller's buffers; parallelizes over row blocks.
+  void PredictWithProba(const Matrix& features, std::span<int> labels,
+                        std::span<double> probabilities) const;
+
+  /// Single-row reference kernel: adds `scale * leaf_distribution` over
+  /// all trees into `acc` (size num_classes), in tree order, one early-exit
+  /// descent at a time (tests compare the batched kernels against it).
   void AccumulateVotes(std::span<const double> row, double scale,
                        std::span<double> acc) const;
 
@@ -141,11 +151,20 @@ class FlatForest {
   size_t DescendExact(size_t tree, std::span<const double> row) const;
   size_t DescendQuantized(size_t tree, const int16_t* qrow) const;
 
-  /// Accumulates scale-weighted votes for rows [begin, end) of `features`
-  /// into `acc` (row-major (end-begin) x num_classes, pre-zeroed by the
-  /// caller or overwritten — the kernel zeroes it itself).
-  void AccumulateBlock(const Matrix& features, size_t begin, size_t end,
-                       double scale, double* acc) const;
+  /// Descends every tree for rows [begin, end) of `features` (at most one
+  /// 64-row block) and calls visit(r, leaf_distribution) per tree and row,
+  /// r relative to `begin` — per row, leaves arrive in tree order, as in
+  /// the pointer walk.
+  template <typename Visit>
+  void VisitLeaves(const Matrix& features, size_t begin, size_t end,
+                   Visit&& visit) const;
+
+  /// VisitLeaves' branchless level-cohort descent over `block` row
+  /// pointers, on the exact (T = double) or quantized (T = int16_t)
+  /// thresholds.
+  template <typename T, typename Visit>
+  void DescendCohorts(const T* const* rows, size_t block, const T* threshold,
+                      Visit& visit) const;
 
   // One SoA node pool across all trees, tree nodes contiguous, BFS order.
   std::vector<int32_t> feature_;      // Split feature; -1 marks a leaf.

@@ -62,6 +62,15 @@ class Matrix {
   /// New matrix containing the given columns, in order.
   Matrix SelectColumns(std::span<const int> column_indices) const;
 
+  /// Reshapes to rows×cols, keeping the storage's capacity: an allocation
+  /// cache for callers that refill one matrix per batch. Element values
+  /// are unspecified afterwards; callers overwrite them.
+  void Resize(size_t rows, size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& mutable_data() { return data_; }
 

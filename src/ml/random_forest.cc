@@ -165,6 +165,30 @@ Result<Matrix> RandomForest::PredictProba(const Matrix& features) const {
   return probs;
 }
 
+Status RandomForest::PredictWithProba(const Matrix& features,
+                                      std::vector<int>* labels,
+                                      Matrix* probabilities) const {
+  if (!fitted()) {
+    return Status::FailedPrecondition("PredictWithProba before Fit");
+  }
+  if (flat_ == nullptr) {
+    *labels = Predict(features);
+    TRAJKIT_ASSIGN_OR_RETURN(*probabilities, PredictProba(features));
+    return Status::Ok();
+  }
+  // Same instrumentation as Predict: the rows count once, and only
+  // batches worth a clock read are timed.
+  ForestMetrics& metrics = ForestMetrics::Get();
+  metrics.rows_predicted.Increment(features.rows());
+  std::optional<obs::ScopedTimer> timer;
+  if (features.rows() >= 64) timer.emplace(metrics.predict_seconds);
+  labels->resize(features.rows());
+  probabilities->Resize(features.rows(), static_cast<size_t>(num_classes_));
+  flat_->PredictWithProba(features, *labels,
+                          probabilities->mutable_data());
+  return Status::Ok();
+}
+
 std::unique_ptr<Classifier> RandomForest::Clone() const {
   return std::make_unique<RandomForest>(params_);
 }

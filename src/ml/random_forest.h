@@ -42,6 +42,15 @@ class RandomForest final : public Classifier {
   Status Fit(const Dataset& train) override;
   std::vector<int> Predict(const Matrix& features) const override;
   Result<Matrix> PredictProba(const Matrix& features) const override;
+
+  /// Predict and PredictProba in one call, bit-identical to the two, into
+  /// caller-owned buffers that keep their capacity across calls: `labels`
+  /// is resized to rows, `probabilities` to rows x num_classes. With the
+  /// flat form compiled every row descends every tree once
+  /// (FlatForest::PredictWithProba); otherwise the two pointer walks run
+  /// back to back.
+  Status PredictWithProba(const Matrix& features, std::vector<int>* labels,
+                          Matrix* probabilities) const;
   std::string name() const override { return "random_forest"; }
   std::unique_ptr<Classifier> Clone() const override;
 

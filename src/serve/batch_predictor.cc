@@ -121,6 +121,7 @@ std::future<Result<Prediction>> BatchPredictor::Submit(
   }
 
   size_t depth = 0;
+  bool wake_worker = false;
   bool shed_incoming = false;
   bool shed_victim = false;
   uint64_t victim_trace_id = 0;
@@ -158,6 +159,8 @@ std::future<Result<Prediction>> BatchPredictor::Submit(
       pending_.push_back(std::move(request));
       ++counters_.requests;
       depth = pending_.size();
+      wake_worker = worker_idle_;
+      worker_idle_ = false;
     }
   }
   if (shed_incoming) {
@@ -177,7 +180,8 @@ std::future<Result<Prediction>> BatchPredictor::Submit(
                     /*tail_keep=*/true);
     }
   }
-  cv_.notify_one();
+  // A busy worker finds this request when it next looks at the queue.
+  if (wake_worker) cv_.notify_one();
   // Metrics after the notify so the worker's wakeup is not delayed.
   SetQueueDepthGauge(static_cast<double>(depth));
   metric_requests_.Increment();
@@ -186,14 +190,14 @@ std::future<Result<Prediction>> BatchPredictor::Submit(
 }
 
 void BatchPredictor::Flush() {
+  BatchScratch scratch;
   while (true) {
-    std::vector<Request> batch;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (pending_.empty()) return;
-      batch = TakeBatchLocked();
+      TakeBatchLocked(&scratch.batch);
     }
-    ProcessBatch(std::move(batch));
+    ProcessBatch(&scratch);
   }
 }
 
@@ -239,51 +243,45 @@ void BatchPredictor::SweepExpiredLocked(
   }
 }
 
-std::vector<BatchPredictor::Request> BatchPredictor::TakeBatchLocked() {
+void BatchPredictor::TakeBatchLocked(std::vector<Request>* batch) {
   const size_t take = std::min(pending_.size(), options_.max_batch_size);
-  std::vector<Request> batch;
-  batch.reserve(take);
+  batch->clear();
   for (size_t i = 0; i < take; ++i) {
-    batch.push_back(std::move(pending_.front()));
+    batch->push_back(std::move(pending_.front()));
     pending_.pop_front();
   }
   ++counters_.batches;
   counters_.max_batch = std::max(counters_.max_batch, take);
   // min_deadline_ may now be stale-early (it could belong to a taken
-  // request); the next sweep recomputes it, at worst one spurious wakeup.
+  // request); the next sweep recomputes it, at worst one wasted scan.
   // A gauge store is cheap enough to keep under the lock; the batch
   // histogram observes happen in ProcessBatch, outside it.
   SetQueueDepthGauge(static_cast<double>(pending_.size()));
-  return batch;
 }
 
 void BatchPredictor::WorkerLoop() {
-  const auto delay = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(std::max(options_.max_delay_seconds,
-                                             0.0)));
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
+    // Every queued request is either swept here or re-checked when its
+    // batch starts, and the worker never sleeps with requests queued, so
+    // no expiry needs a timed wake-up.
     SweepExpiredLocked(std::chrono::steady_clock::now());
     if (pending_.empty()) {
       if (stop_) return;
-      cv_.wait(lock, [this] { return stop_ || !pending_.empty(); });
+      // Re-armed on every sleep: a Submit clears the flag before this
+      // wakes, and a Flush on the caller thread may empty the queue in
+      // between, so a predicate wait would sleep again with the flag
+      // down and no later Submit would notify.
+      worker_idle_ = true;
+      cv_.wait(lock);
+      worker_idle_ = false;
       continue;
     }
-    // Dispatch when the batch is full, the oldest request's delay budget
-    // has passed, or we are draining for shutdown. Wake early for the
-    // nearest request deadline so expiries do not wait out the batch
-    // delay. No predicate: the outer loop re-evaluates everything
-    // (including deadlines that moved earlier while we slept).
-    const auto dispatch_at = pending_.front().enqueue + delay;
-    if (!stop_ && pending_.size() < options_.max_batch_size &&
-        std::chrono::steady_clock::now() < dispatch_at) {
-      cv_.wait_until(lock, std::min(dispatch_at, min_deadline_));
-      continue;
-    }
-    std::vector<Request> batch = TakeBatchLocked();
+    // Work-conserving: whatever queued while the last batch ran is the
+    // next batch, however small.
+    TakeBatchLocked(&worker_scratch_.batch);
     lock.unlock();
-    ProcessBatch(std::move(batch));
+    ProcessBatch(&worker_scratch_);
     lock.lock();
   }
 }
@@ -335,7 +333,8 @@ void BatchPredictor::SetQueueDepthGauge(double depth) {
   }
 }
 
-void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
+void BatchPredictor::ProcessBatch(BatchScratch* scratch) {
+  std::vector<Request>& batch = scratch->batch;
   if (batch.empty()) return;
   metric_batches_.Increment();
   metric_batch_size_.Observe(static_cast<double>(batch.size()));
@@ -381,36 +380,40 @@ void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
 
   // Counters are published before any promise resolves so a caller woken
   // by its future always finds its request accounted.
-  std::vector<Request> live;
-  live.reserve(batch.size());
-  std::vector<Request> expired;
-  for (Request& request : batch) {
-    if (request.context.has_deadline() && request.context.deadline <= start) {
-      expired.push_back(std::move(request));
-    } else {
-      live.push_back(std::move(request));
-    }
-  }
-  if (!expired.empty()) {
-    metric_deadline_exceeded_.Increment(static_cast<uint64_t>(expired.size()));
+  const auto expired = [start](const Request& request) {
+    return request.context.has_deadline() && request.context.deadline <= start;
+  };
+  const size_t num_expired =
+      static_cast<size_t>(std::count_if(batch.begin(), batch.end(), expired));
+  if (num_expired > 0) {
+    metric_deadline_exceeded_.Increment(static_cast<uint64_t>(num_expired));
     if (shard_deadline_exceeded_ != nullptr) {
       shard_deadline_exceeded_->Increment(
-          static_cast<uint64_t>(expired.size()));
+          static_cast<uint64_t>(num_expired));
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      counters_.deadline_exceeded += expired.size();
+      counters_.deadline_exceeded += num_expired;
     }
-    for (Request& request : expired) {
-      const uint64_t trace_id = request.context.trace_id;
-      request.promise.set_value(Status::DeadlineExceeded(
+    // Resolve the expired requests and close the live ones up, in order.
+    size_t kept = 0;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!expired(batch[i])) {
+        if (kept != i) batch[kept] = std::move(batch[i]);
+        ++kept;
+        continue;
+      }
+      const uint64_t trace_id = batch[i].context.trace_id;
+      batch[i].promise.set_value(Status::DeadlineExceeded(
           "deadline passed before the batch was processed"));
       if (traced) {
         TraceTerminal(tracer, trace_id, "deadline_exceeded", start_ns,
                       /*tail_keep=*/true);
       }
     }
+    batch.erase(batch.begin() + static_cast<ptrdiff_t>(kept), batch.end());
   }
+  std::vector<Request>& live = batch;
   if (live.empty()) return;
 
   // Degradation rung 0 -> 1: active model from one coherent lease, else
@@ -485,10 +488,10 @@ void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
   // Per-request validation first, so one malformed vector fails only its own
   // future instead of poisoning the batch.
   const size_t expected = static_cast<size_t>(model->num_input_features);
-  std::vector<std::vector<double>> rows;
-  std::vector<size_t> row_to_request;
-  rows.reserve(live.size());
-  row_to_request.reserve(live.size());
+  std::vector<const std::vector<double>*>& rows = scratch->rows;
+  std::vector<size_t>& row_to_request = scratch->row_to_request;
+  rows.clear();
+  row_to_request.clear();
   for (size_t i = 0; i < live.size(); ++i) {
     if (live[i].features.size() != expected) {
       const uint64_t trace_id = live[i].context.trace_id;
@@ -501,18 +504,18 @@ void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
       }
       continue;
     }
-    rows.push_back(std::move(live[i].features));
+    rows.push_back(&live[i].features);
     row_to_request.push_back(i);
   }
   if (rows.empty()) return;
   const auto predict_start = std::chrono::steady_clock::now();
-  Result<std::vector<Prediction>> predictions = model->PredictBatch(rows);
+  const Status predicted = model->PredictRows(rows, &scratch->active);
   const auto done = std::chrono::steady_clock::now();
   const uint64_t done_ns = traced ? tracer.ToNs(done) : 0;
-  if (!predictions.ok()) {
+  if (!predicted.ok()) {
     for (const size_t i : row_to_request) {
       const uint64_t trace_id = live[i].context.trace_id;
-      live[i].promise.set_value(predictions.status());
+      live[i].promise.set_value(predicted);
       if (traced) {
         TraceTerminal(tracer, trace_id, "failed", done_ns,
                       /*tail_keep=*/true);
@@ -533,7 +536,7 @@ void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
     counters_.degraded += row_to_request.size();
   }
   const uint64_t predict_start_ns = traced ? tracer.ToNs(predict_start) : 0;
-  std::vector<Prediction>& values = predictions.value();
+  const std::vector<int>& labels = scratch->active.labels;
 
   // Shadow scoring: the candidate answers the exact rows the active model
   // just served. Its labels ride along inside the Prediction (never served
@@ -542,23 +545,22 @@ void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
   // degraded rungs would skew the verdict. Tallies land in the evaluator
   // before any promise resolves, so a driver that has gathered every
   // future is guaranteed to see the complete window.
+  const std::vector<int>* shadow_labels = nullptr;
   uint64_t shadow_start_ns = 0;
   uint64_t shadow_done_ns = 0;
   if (level == DegradationLevel::kNone && lease.shadow != nullptr &&
       options_.shadow_evaluator != nullptr) {
     const auto shadow_start = std::chrono::steady_clock::now();
-    Result<std::vector<Prediction>> shadowed =
-        lease.shadow->PredictBatch(rows);
+    const Status shadowed = lease.shadow->PredictRows(rows, &scratch->shadow);
     const auto shadow_done = std::chrono::steady_clock::now();
     if (shadowed.ok()) {
+      shadow_labels = &scratch->shadow.labels;
       size_t agreements = 0;
-      for (size_t r = 0; r < row_to_request.size(); ++r) {
-        values[r].shadow_label = (*shadowed)[r].label;
-        values[r].shadow_version = lease.shadow->version;
-        if ((*shadowed)[r].label == values[r].label) ++agreements;
+      for (size_t r = 0; r < rows.size(); ++r) {
+        if ((*shadow_labels)[r] == labels[r]) ++agreements;
       }
       options_.shadow_evaluator->ObserveBatch(
-          lease.shadow->version, row_to_request.size(), agreements,
+          lease.shadow->version, rows.size(), agreements,
           std::chrono::duration<double>(done - predict_start).count(),
           std::chrono::duration<double>(shadow_done - shadow_start).count());
       if (traced) {
@@ -568,10 +570,21 @@ void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
     }
   }
 
-  for (size_t r = 0; r < row_to_request.size(); ++r) {
+  for (size_t r = 0; r < rows.size(); ++r) {
     Request& request = live[row_to_request[r]];
-    values[r].degradation = level;
-    values[r].latency_seconds =
+    Prediction prediction;
+    prediction.label = labels[r];
+    const std::span<const double> probabilities =
+        scratch->active.probabilities.Row(r);
+    prediction.probabilities.assign(probabilities.begin(),
+                                    probabilities.end());
+    prediction.model_version = model->version;
+    if (shadow_labels != nullptr) {
+      prediction.shadow_label = (*shadow_labels)[r];
+      prediction.shadow_version = lease.shadow->version;
+    }
+    prediction.degradation = level;
+    prediction.latency_seconds =
         std::chrono::duration<double>(done - request.enqueue).count();
     uint64_t exemplar_id = 0;
     const uint64_t trace_id = request.context.trace_id;
@@ -581,7 +594,7 @@ void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
       tracer.RecordSpan(trace_id, "predict", obs::TracePhase::kPredict,
                         predict_start_ns, done_ns,
                         static_cast<uint64_t>(rows.size()));
-      if (values[r].shadow_label >= 0 && shadow_done_ns != 0) {
+      if (shadow_labels != nullptr) {
         tracer.RecordSpan(trace_id, "shadow", obs::TracePhase::kPredict,
                           shadow_start_ns, shadow_done_ns,
                           static_cast<uint64_t>(rows.size()));
@@ -596,8 +609,8 @@ void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
       // when this trace is exported (head-sampled or just tail-kept).
       if (tail_keep || tracer.Sampled(trace_id)) exemplar_id = trace_id;
     }
-    metric_latency_.Observe(values[r].latency_seconds, exemplar_id);
-    request.promise.set_value(std::move(values[r]));
+    metric_latency_.Observe(prediction.latency_seconds, exemplar_id);
+    request.promise.set_value(std::move(prediction));
   }
 }
 

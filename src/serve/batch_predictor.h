@@ -22,10 +22,8 @@ class ShadowEvaluator;
 
 /// Micro-batching + admission-control knobs.
 struct BatchPredictorOptions {
-  /// A batch is dispatched as soon as this many requests are pending.
+  /// Most requests one batch takes off the queue.
   size_t max_batch_size = 64;
-  /// ... or once the oldest pending request has waited this long.
-  double max_delay_seconds = 0.002;
   /// Admission control: maximum queued requests. 0 = unbounded (default,
   /// the pre-admission-control behavior). When the queue is at the limit
   /// the lowest-priority request is shed first: an already-queued victim
@@ -58,10 +56,19 @@ struct BatchPredictorOptions {
 
 /// Collects prediction requests across sessions into micro-batches and runs
 /// them through the active model's forest on the shared thread pool
-/// (`RandomForest::Predict` parallelizes over batch rows). Batching is a
-/// pure throughput optimization: forest rows are independent, so a
-/// request's answer is bit-identical whatever batch it lands in — the
-/// per-request determinism contract (pinned by tests/serve_test.cc).
+/// (`RandomForest::PredictWithProba` parallelizes over batch rows).
+///
+/// Dispatch is work-conserving: the moment the worker is free it takes up
+/// to max_batch_size queued requests, never waiting for more to arrive. A
+/// batch therefore holds exactly the requests that queued while the
+/// previous one ran, so batches stay small (low latency) under light load
+/// and grow by themselves toward max_batch_size under heavy load. Submit
+/// wakes the worker only when it is idle on an empty queue.
+///
+/// Batching is a pure throughput optimization: forest rows are
+/// independent, so a request's answer is bit-identical whatever batch it
+/// lands in — the per-request determinism contract (pinned by
+/// tests/serve_test.cc).
 ///
 /// Each model snapshot is taken once per batch from the registry, so all
 /// requests of a batch are served by one consistent
@@ -118,8 +125,20 @@ class BatchPredictor {
     std::chrono::steady_clock::time_point enqueue;
   };
 
-  /// Background loop: dispatches on the size or delay trigger, waking
-  /// early to expire deadlined requests.
+  /// Per-dispatcher buffers: the batch taken off the queue plus the
+  /// predict inputs and outputs. The worker keeps one for its lifetime, so
+  /// a batch allocates only the answers it hands out; Flush uses its own.
+  struct BatchScratch {
+    std::vector<Request> batch;
+    /// Features of the well-formed requests, and their index in `batch`.
+    std::vector<const std::vector<double>*> rows;
+    std::vector<size_t> row_to_request;
+    PredictScratch active;
+    PredictScratch shadow;
+  };
+
+  /// Background loop: sweeps expired requests, then takes the next batch
+  /// as soon as anything is queued; sleeps only on an empty queue.
   void WorkerLoop();
 
   /// Resolves every queued request whose deadline has passed with
@@ -127,13 +146,13 @@ class BatchPredictor {
   /// held.
   void SweepExpiredLocked(std::chrono::steady_clock::time_point now);
 
-  /// Takes up to max_batch_size requests off the queue. Precondition:
-  /// `mu_` held.
-  std::vector<Request> TakeBatchLocked();
+  /// Replaces `batch` with up to max_batch_size requests off the queue.
+  /// Precondition: `mu_` held.
+  void TakeBatchLocked(std::vector<Request>* batch);
 
-  /// Answers one batch (fault draw, deadline re-check, degradation chain,
-  /// per-row validation, forest).
-  void ProcessBatch(std::vector<Request> batch);
+  /// Answers scratch->batch (fault draw, deadline re-check, degradation
+  /// chain, per-row validation, forest).
+  void ProcessBatch(BatchScratch* scratch);
 
   /// Resolves `request` with the label-prior majority class (degradation
   /// rung kMajorityClass). False when no prior is configured.
@@ -181,11 +200,17 @@ class BatchPredictor {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Request> pending_;
-  /// Earliest deadline among queued requests; time_point::max() when none
-  /// has one. May be stale-early after TakeBatchLocked (the sweep then
-  /// finds nothing expired and recomputes) — never stale-late.
+  /// Earliest deadline among queued requests, so the sweep can skip a
+  /// queue with nothing due; time_point::max() when none has one. May be
+  /// stale-early after TakeBatchLocked (the sweep then finds nothing
+  /// expired and recomputes) — never stale-late. No timed wait needs it:
+  /// the worker never sleeps while requests are queued.
   std::chrono::steady_clock::time_point min_deadline_ =
       std::chrono::steady_clock::time_point::max();
+  /// True while the worker waits on an empty queue; the Submit that ends
+  /// the wait clears it and is the only one to notify. The worker raises
+  /// it again before every sleep, whatever woke it.
+  bool worker_idle_ = false;
   bool stop_ = false;
   Counters counters_;
 
@@ -194,6 +219,8 @@ class BatchPredictor {
   mutable std::mutex last_good_mu_;
   std::shared_ptr<const ServingModel> last_good_;
 
+  /// Only the worker thread touches this.
+  BatchScratch worker_scratch_;
   std::thread worker_;
 };
 

@@ -64,57 +64,84 @@ Status ServingModel::Validate() const {
   return Status::Ok();
 }
 
-Result<ml::Matrix> ServingModel::PrepareBatch(
-    const std::vector<std::vector<double>>& rows) const {
-  const size_t effective = EffectiveFeatureCount();
-  ml::Matrix prepared(rows.size(), effective);
+namespace {
+
+/// Subsets + normalizes full-width rows into `prepared` (reshaped, its
+/// storage reused).
+Status PrepareRows(const ServingModel& model,
+                   std::span<const std::vector<double>* const> rows,
+                   ml::Matrix* prepared) {
+  const size_t effective = model.EffectiveFeatureCount();
+  prepared->Resize(rows.size(), effective);
   for (size_t r = 0; r < rows.size(); ++r) {
-    const std::vector<double>& row = rows[r];
-    if (row.size() != static_cast<size_t>(num_input_features)) {
+    const std::vector<double>& row = *rows[r];
+    if (row.size() != static_cast<size_t>(model.num_input_features)) {
       return Status::InvalidArgument(StrPrintf(
           "feature vector %zu has %zu values, model '%s' expects %d",
-          r, row.size(), version.c_str(), num_input_features));
+          r, row.size(), model.version.c_str(), model.num_input_features));
     }
-    const std::span<double> out = prepared.MutableRow(r);
-    if (feature_subset.empty()) {
+    const std::span<double> out = prepared->MutableRow(r);
+    if (model.feature_subset.empty()) {
       std::copy(row.begin(), row.end(), out.begin());
     } else {
-      for (size_t c = 0; c < feature_subset.size(); ++c) {
-        out[c] = row[static_cast<size_t>(feature_subset[c])];
+      for (size_t c = 0; c < model.feature_subset.size(); ++c) {
+        out[c] = row[static_cast<size_t>(model.feature_subset[c])];
       }
     }
   }
   // Min-max normalization with the published ranges, replicating
   // MinMaxScaler::Transform (constant columns map to 0, no clamping).
-  if (!norm_mins.empty()) {
+  if (!model.norm_mins.empty()) {
     for (size_t c = 0; c < effective; ++c) {
-      const double range = norm_maxs[c] - norm_mins[c];
+      const double range = model.norm_maxs[c] - model.norm_mins[c];
       if (range <= 0.0) {
-        for (size_t r = 0; r < prepared.rows(); ++r) prepared(r, c) = 0.0;
+        for (size_t r = 0; r < rows.size(); ++r) (*prepared)(r, c) = 0.0;
       } else {
         const double inv = 1.0 / range;
-        for (size_t r = 0; r < prepared.rows(); ++r) {
-          prepared(r, c) = (prepared(r, c) - norm_mins[c]) * inv;
+        for (size_t r = 0; r < rows.size(); ++r) {
+          (*prepared)(r, c) = ((*prepared)(r, c) - model.norm_mins[c]) * inv;
         }
       }
     }
   }
+  return Status::Ok();
+}
+
+std::vector<const std::vector<double>*> RowPointers(
+    const std::vector<std::vector<double>>& rows) {
+  std::vector<const std::vector<double>*> pointers(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) pointers[r] = &rows[r];
+  return pointers;
+}
+
+}  // namespace
+
+Result<ml::Matrix> ServingModel::PrepareBatch(
+    const std::vector<std::vector<double>>& rows) const {
+  ml::Matrix prepared;
+  TRAJKIT_RETURN_IF_ERROR(PrepareRows(*this, RowPointers(rows), &prepared));
   return prepared;
+}
+
+Status ServingModel::PredictRows(
+    std::span<const std::vector<double>* const> rows,
+    PredictScratch* scratch) const {
+  TRAJKIT_RETURN_IF_ERROR(PrepareRows(*this, rows, &scratch->prepared));
+  // Labels are Predict's (not an argmax over the probabilities), so
+  // serving answers are bit-identical to the offline pipeline's.
+  return forest.PredictWithProba(scratch->prepared, &scratch->labels,
+                                 &scratch->probabilities);
 }
 
 Result<std::vector<Prediction>> ServingModel::PredictBatch(
     const std::vector<std::vector<double>>& rows) const {
   if (rows.empty()) return std::vector<Prediction>{};
-  TRAJKIT_ASSIGN_OR_RETURN(ml::Matrix prepared, PrepareBatch(rows));
-  // Labels come from Predict (not an argmax over PredictProba) so serving
-  // answers are bit-identical to the offline pipeline's predictions.
-  const std::vector<int> labels = forest.Predict(prepared);
-  TRAJKIT_ASSIGN_OR_RETURN(ml::Matrix probabilities,
-                           forest.PredictProba(prepared));
+  PredictScratch scratch;
+  TRAJKIT_RETURN_IF_ERROR(PredictRows(RowPointers(rows), &scratch));
   std::vector<Prediction> out(rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {
-    out[r].label = labels[r];
-    const std::span<const double> row = probabilities.Row(r);
+    out[r].label = scratch.labels[r];
+    const std::span<const double> row = scratch.probabilities.Row(r);
     out[r].probabilities.assign(row.begin(), row.end());
     out[r].model_version = version;
   }

@@ -32,8 +32,8 @@ const char* DegradationLevelToString(DegradationLevel level);
 
 /// One prediction answer.
 struct Prediction {
-  /// Predicted class index — computed with `RandomForest::Predict`, so it
-  /// is bit-identical to the offline pipeline on the same features.
+  /// Predicted class index — bit-identical to `RandomForest::Predict`,
+  /// and so to the offline pipeline on the same features.
   int label = -1;
   /// Per-class probabilities (soft-voting average over trees).
   std::vector<double> probabilities;
@@ -50,6 +50,17 @@ struct Prediction {
   int shadow_label = -1;
   /// Version of the shadow model behind `shadow_label` (empty when -1).
   std::string shadow_version;
+};
+
+/// Reusable buffers of ServingModel::PredictRows: the prepared forest
+/// input and the one-pass outputs. A caller that keeps one per thread
+/// predicts without allocating once the buffers have grown to its
+/// largest batch.
+struct PredictScratch {
+  ml::Matrix prepared;
+  std::vector<int> labels;
+  /// rows x num_classes; row r belongs to labels[r].
+  ml::Matrix probabilities;
 };
 
 /// A deployable model: forest + feature-subset mask + optional min-max
@@ -89,6 +100,14 @@ struct ServingModel {
   /// Predicts a batch of full-width feature vectors.
   Result<std::vector<Prediction>> PredictBatch(
       const std::vector<std::vector<double>>& rows) const;
+
+  /// The batch core behind PredictBatch, into caller-owned buffers:
+  /// prepares `rows` into scratch->prepared, then fills scratch->labels
+  /// and scratch->probabilities from one forest descent per row
+  /// (ml::RandomForest::PredictWithProba). Returns InvalidArgument when
+  /// any row has the wrong width.
+  Status PredictRows(std::span<const std::vector<double>* const> rows,
+                     PredictScratch* scratch) const;
 
   /// Single-request convenience (the unbatched baseline path).
   Result<Prediction> PredictOne(std::span<const double> features) const;

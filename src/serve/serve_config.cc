@@ -41,7 +41,6 @@ ServeConfigDefaults StatuszDefaults() {
   defaults.users = 6;
   defaults.days = 2;
   defaults.batch = 16;
-  defaults.max_delay_ms = 1.0;
   defaults.max_queue = 32;
   defaults.shards = 2;
   defaults.deadline_ms = 50.0;
@@ -82,7 +81,6 @@ ContinuousTrainingOptions ContinuousTrainingConfig::MakeOptions() const {
 BatchPredictorOptions ServeConfig::MakeBatchingOptions() const {
   BatchPredictorOptions batching;
   batching.max_batch_size = batch;
-  batching.max_delay_seconds = max_delay_seconds;
   batching.max_queue = max_queue;
   return batching;
 }
@@ -120,10 +118,13 @@ Result<ServeConfig> ParseServeFlags(const Flags& flags,
   TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(batch, 1, "batch"));
   config.batch = static_cast<size_t>(batch);
 
-  const double max_delay_ms =
-      flags.GetDouble("max_delay_ms", defaults.max_delay_ms);
-  TRAJKIT_RETURN_IF_ERROR(RequireNonNegative(max_delay_ms, "max_delay_ms"));
-  config.max_delay_seconds = max_delay_ms * 1e-3;
+  // Dispatch is work-conserving (BatchPredictor), so there is no batch
+  // timer to set: a leftover flag fails loudly instead of doing nothing.
+  if (flags.Has("max_delay_ms")) {
+    return Status::InvalidArgument(
+        "--max_delay_ms was removed: batches dispatch as soon as the "
+        "predictor is free");
+  }
 
   const int max_queue =
       flags.GetInt("max_queue", static_cast<int>(defaults.max_queue));

@@ -34,7 +34,6 @@ struct ServeConfigDefaults {
   uint64_t seed = 7;
   int trees = 15;
   size_t batch = 64;
-  double max_delay_ms = 2.0;
   size_t max_queue = 0;
   size_t shards = 1;
   double gap_seconds = 0.0;
@@ -79,7 +78,6 @@ struct ServeConfig {
 
   // Batching + admission.
   size_t batch = 64;
-  double max_delay_seconds = 0.002;
   size_t max_queue = 0;
 
   // Plane + session layer.
@@ -125,8 +123,8 @@ struct ServeConfig {
 
 /// Parses + validates the shared serving flags against an entry point's
 /// defaults. Errors are InvalidArgument naming the offending flag (e.g.
-/// "--shards must be >= 1" or "--refit_every requires
-/// --continuous_training").
+/// "--shards must be >= 1", "--refit_every requires
+/// --continuous_training", or a retired flag such as --max_delay_ms).
 Result<ServeConfig> ParseServeFlags(const Flags& flags,
                                     const ServeConfigDefaults& defaults);
 

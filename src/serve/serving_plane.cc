@@ -41,8 +41,11 @@ size_t ServingPlane::ShardOf(int64_t user_id) const {
 void ServingPlane::Ingest(int64_t user_id,
                           const traj::TrajectoryPoint& point,
                           std::vector<ClosedSegment>* closed) {
-  shards_[ShardOf(user_id)]->sessions.Ingest(user_id, point, closed);
-  SetActiveGauge();
+  SessionManager& sessions = shards_[ShardOf(user_id)]->sessions;
+  const size_t open_before = sessions.num_open_sessions();
+  sessions.Ingest(user_id, point, closed);
+  // The aggregate moves only when a session opens or closes, not per point.
+  if (sessions.num_open_sessions() != open_before) SetActiveGauge();
 }
 
 void ServingPlane::EvictIdle(double now,

@@ -132,6 +132,7 @@ void SessionManager::Ingest(int64_t session_id,
     session.extractor = StreamingFeatureExtractor(options_.point_features);
     lru_.push_front(session_id);
     session.lru = lru_.begin();
+    SetActiveGauges();
   } else if (session.lru != lru_.begin()) {
     lru_.splice(lru_.begin(), lru_, session.lru);
   }
@@ -189,7 +190,6 @@ void SessionManager::Ingest(int64_t session_id,
   if (options_.max_sessions > 0 && sessions_.size() > options_.max_sessions) {
     CloseSession(lru_.back(), CloseReason::kSessionCap, closed);
   }
-  SetActiveGauges();
 }
 
 void SessionManager::EvictIdle(double now,
@@ -197,14 +197,12 @@ void SessionManager::EvictIdle(double now,
   for (int64_t session_id : IdleSessionIds(now)) {
     CloseSession(session_id, CloseReason::kIdle, closed);
   }
-  SetActiveGauges();
 }
 
 void SessionManager::FlushAll(std::vector<ClosedSegment>* closed) {
   for (int64_t session_id : OpenSessionIds()) {
     CloseSession(session_id, CloseReason::kFlush, closed);
   }
-  SetActiveGauges();
 }
 
 std::vector<int64_t> SessionManager::OpenSessionIds() const {

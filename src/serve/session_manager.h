@@ -183,6 +183,8 @@ class SessionManager {
 
   /// Updates the active-session gauge: the per-shard one when sharded
   /// (the ServingPlane owns the aggregate then), the global one otherwise.
+  /// Called whenever a session is created or erased, so the gauge always
+  /// equals the open-session count without a write per point.
   void SetActiveGauges();
 
   SessionOptions options_;

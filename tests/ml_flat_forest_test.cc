@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -75,6 +76,30 @@ Matrix RandomQueries(size_t rows, int num_features, uint64_t seed) {
   return Matrix::FromRows(out);
 }
 
+/// Features on a 0.1 grid: every value sits >= 0.05 from every split
+/// threshold (midpoints of distinct values) while int16 grid cells are
+/// ~range/32000 < 0.002 wide — quantization is always accepted, and any
+/// 0.1-grid query descends identically in both forms.
+Dataset MakeGridBlobs() {
+  Rng rng(41);
+  std::vector<std::vector<double>> rows;
+  std::vector<int> labels;
+  for (int c = 0; c < 3; ++c) {
+    for (int i = 0; i < 50; ++i) {
+      std::vector<double> row(5);
+      for (size_t f = 0; f < row.size(); ++f) {
+        row[f] = std::round(rng.Gaussian(4.0 * c, 3.0) * 10.0) / 10.0;
+      }
+      rows.push_back(std::move(row));
+      labels.push_back(c);
+    }
+  }
+  return std::move(Dataset::Create(Matrix::FromRows(rows), std::move(labels),
+                                   {}, {"a", "b", "c", "d", "e"},
+                                   {"c0", "c1", "c2"}))
+      .value();
+}
+
 void ExpectBitIdentical(const Matrix& a, const Matrix& b) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
@@ -133,6 +158,105 @@ TEST(FlatForestTest, NanAndInfinityRowsAgreeWithPointerWalk) {
                      std::move(flat.PredictProba(weird)).value());
 }
 
+// The serving kernel: one descent per row and tree fills both outputs,
+// which must equal Predict + PredictProba byte for byte (memcmp), and the
+// pointer walk too. Covers the exact and the quantized form, NaN and
+// +-inf cells, 1 and 8 threads, and batch sizes on both sides of the
+// 64-row block edge — 1 and 65 (a 64-row block plus a 1-row block) put
+// several trees in one cohort (64 / block lanes per tree), 63 and 64 one
+// tree per cohort.
+TEST(FlatForestTest, OnePassKernelMatchesPredictPlusProbaBitForBit) {
+  const Dataset blobs = MakeBlobs(4, 60, 6, 1.4, 71);
+  // Leaves of >= 8 samples are mixed, so vote sums are fractional and a
+  // changed accumulation order or scaling shows in the bits; the trees
+  // still grow to uneven depths, which the cohort descent must cover.
+  RandomForestParams mixed_leaves;
+  mixed_leaves.min_samples_leaf = 8;
+  RandomForest exact_pointer(mixed_leaves);
+  ASSERT_TRUE(exact_pointer.Fit(blobs).ok());
+  RandomForest exact = exact_pointer;
+  ASSERT_TRUE(exact.CompileFlat().ok());
+
+  const Dataset grid = MakeGridBlobs();
+  RandomForest quantized_pointer;
+  ASSERT_TRUE(quantized_pointer.Fit(grid).ok());
+  RandomForest quantized = quantized_pointer;
+  FlatForestOptions options;
+  options.quantize = true;
+  options.exactness_reference = &grid.features();
+  ASSERT_TRUE(quantized.CompileFlat(options).ok());
+  ASSERT_TRUE(quantized.flat()->quantized());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Form {
+    const char* name;
+    const RandomForest* pointer;
+    const RandomForest* compiled;
+    const Dataset* train;
+  };
+  for (const Form& form : {Form{"exact", &exact_pointer, &exact, &blobs},
+                           Form{"quantized", &quantized_pointer, &quantized,
+                                &grid}}) {
+    const FlatForest& flat = *form.compiled->flat();
+    const size_t k = static_cast<size_t>(flat.num_classes());
+    for (const size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65}}) {
+      // Training rows (on the quantization grid), then NaN and +-inf
+      // cells: a NaN first row, a last row of -inf, +inf in the middle.
+      const Matrix& source = form.train->features();
+      Matrix queries(n, source.cols());
+      for (size_t r = 0; r < n; ++r) {
+        const std::span<const double> row =
+            source.Row((r * 7) % source.rows());
+        std::copy(row.begin(), row.end(), queries.MutableRow(r).begin());
+      }
+      queries(0, 0) = nan;
+      queries(n - 1, source.cols() - 1) = -inf;
+      queries(n / 2, 1) = inf;
+
+      const std::vector<int> pointer_labels = form.pointer->Predict(queries);
+      const Matrix pointer_probs =
+          std::move(form.pointer->PredictProba(queries)).value();
+      for (const int threads : {1, 8}) {
+        ScopedThreads scoped(threads);
+        SCOPED_TRACE(std::string(form.name) + " n=" + std::to_string(n) +
+                     " threads=" + std::to_string(threads));
+        const std::vector<int> labels = form.compiled->Predict(queries);
+        const Matrix probs =
+            std::move(form.compiled->PredictProba(queries)).value();
+        std::vector<int> one_labels(n, -1);
+        std::vector<double> one_probs(n * k, -1.0);
+        flat.PredictWithProba(queries, one_labels, one_probs);
+        EXPECT_EQ(std::memcmp(one_labels.data(), labels.data(),
+                              n * sizeof(int)),
+                  0);
+        EXPECT_EQ(std::memcmp(one_probs.data(), probs.data().data(),
+                              n * k * sizeof(double)),
+                  0);
+        EXPECT_EQ(one_labels, pointer_labels);
+        EXPECT_EQ(std::memcmp(one_probs.data(), pointer_probs.data().data(),
+                              n * k * sizeof(double)),
+                  0);
+
+        // The forest-level entry point (what serving calls) reuses its
+        // buffers and lands on the same bytes.
+        std::vector<int> forest_labels(3, 9);
+        Matrix forest_probs(2, 7);
+        ASSERT_TRUE(form.compiled
+                        ->PredictWithProba(queries, &forest_labels,
+                                           &forest_probs)
+                        .ok());
+        EXPECT_EQ(forest_labels, labels);
+        ASSERT_EQ(forest_probs.rows(), n);
+        ASSERT_EQ(forest_probs.cols(), k);
+        EXPECT_EQ(std::memcmp(forest_probs.data().data(), probs.data().data(),
+                              n * k * sizeof(double)),
+                  0);
+      }
+    }
+  }
+}
+
 TEST(FlatForestTest, StatsCountNodesAndDedupedDistributions) {
   const Dataset train = MakeBlobs(3, 40, 5, 1.0, 21);
   RandomForest forest;
@@ -164,28 +288,7 @@ TEST(FlatForestTest, RefitDropsCompiledForm) {
 }
 
 TEST(FlatForestTest, QuantizationAcceptedIsExactOnReferenceAndQueries) {
-  // Features on a 0.1 grid: every value sits >= 0.05 from every split
-  // threshold (midpoints of distinct values) while int16 grid cells are
-  // ~range/32000 < 0.002 wide — acceptance is guaranteed, and any 0.1-grid
-  // query descends identically in both forms.
-  Rng rng(41);
-  std::vector<std::vector<double>> rows;
-  std::vector<int> labels;
-  for (int c = 0; c < 3; ++c) {
-    for (int i = 0; i < 50; ++i) {
-      std::vector<double> row(5);
-      for (size_t f = 0; f < row.size(); ++f) {
-        row[f] = std::round(rng.Gaussian(4.0 * c, 3.0) * 10.0) / 10.0;
-      }
-      rows.push_back(std::move(row));
-      labels.push_back(c);
-    }
-  }
-  const Dataset train =
-      std::move(Dataset::Create(Matrix::FromRows(rows), std::move(labels), {},
-                                {"a", "b", "c", "d", "e"},
-                                {"c0", "c1", "c2"}))
-          .value();
+  const Dataset train = MakeGridBlobs();
   RandomForest pointer;
   ASSERT_TRUE(pointer.Fit(train).ok());
 

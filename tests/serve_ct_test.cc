@@ -294,7 +294,6 @@ TEST(CtConcurrencyTest, ShadowPromotionUnderConcurrentShardedPredict) {
   ServingPlaneOptions options;
   options.shards = 4;
   options.batching.max_batch_size = 1;  // Dispatch immediately.
-  options.batching.max_delay_seconds = 0.05;
   options.batching.shadow_evaluator = &evaluator;
   ServingPlane plane(&registry, options);
 
@@ -471,7 +470,6 @@ CtReplayOutcome RunCtReplay(int threads, size_t shards) {
   ServingPlaneOptions plane_options;
   plane_options.shards = shards;
   plane_options.batching.max_batch_size = 16;
-  plane_options.batching.max_delay_seconds = 0.001;
   plane_options.batching.shadow_evaluator = &trainer.evaluator();
   ServingPlane plane(&registry, plane_options);
 
@@ -533,6 +531,14 @@ TEST(ServeConfigTest, ValidationNamesTheOffendingFlag) {
   expect_error_naming({"--batch=0"}, "--batch");
   expect_error_naming({"--users=0"}, "--users");
   expect_error_naming({"--max_delay_ms=-1"}, "--max_delay_ms");
+  // The batch timer is gone: even a well-formed leftover flag is rejected
+  // rather than silently ignored.
+  expect_error_naming({"--max_delay_ms=2"}, "--max_delay_ms");
+  {
+    const auto result = parse({"--max_delay_ms=2"});
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
   expect_error_naming({"--retries=-1"}, "--retries");
   expect_error_naming({"--fault_spec=bogus"}, "--fault_spec");
   expect_error_naming(

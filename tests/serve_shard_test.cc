@@ -345,6 +345,58 @@ TEST(ShardMetricsTest, PerShardCountersSumToAggregateDeltas) {
   EXPECT_GE(shards_with_points, 2u);
 }
 
+// The active-session gauges are written only when a session opens or
+// closes, never per point; they must still equal the open-session counts
+// after every single call — fresh users, per-shard cap evictions, idle
+// eviction and the final flush included.
+TEST(ShardMetricsTest, ActiveSessionGaugesTrackOpenSessionsAfterEveryCall) {
+  ModelRegistry registry;
+  ServingPlaneOptions options;
+  options.shards = 4;
+  options.session.max_sessions = 2;  // Per shard: forces cap evictions.
+  options.session.idle_after_seconds = 600.0;
+  ServingPlane plane(&registry, options);
+  const auto gauge = [](const std::string& name) {
+    const obs::Gauge* found = obs::MetricsRegistry::Global().FindGauge(name);
+    return found == nullptr ? -1.0 : found->value();
+  };
+  // The gauges are process-wide: a shard no user has reached yet still
+  // shows what an earlier plane in this binary left there.
+  std::vector<bool> reached(plane.num_shards(), false);
+  const auto expect_gauges_match = [&](const std::string& where) {
+    EXPECT_EQ(gauge("serve.sessions.active"),
+              static_cast<double>(plane.num_open_sessions()))
+        << where;
+    for (size_t s = 0; s < plane.num_shards(); ++s) {
+      if (!reached[s]) continue;
+      EXPECT_EQ(gauge("serve.shard" + std::to_string(s) + ".sessions.active"),
+                static_cast<double>(plane.sessions(s).num_open_sessions()))
+          << where << ", shard " << s;
+    }
+  };
+
+  std::vector<ClosedSegment> closed;
+  for (int64_t user = 0; user < 24; ++user) {
+    reached[plane.ShardOf(user)] = true;
+    // Users start staggered, so late ones find early ones idle.
+    for (const auto& point :
+         WalkPoints(user, 6, 1.2e9 + 300.0 * static_cast<double>(user))) {
+      plane.Ingest(user, point, &closed);
+      expect_gauges_match("user " + std::to_string(user));
+    }
+  }
+  EXPECT_GT(plane.session_stats().sessions_evicted_cap, 0u);
+  EXPECT_EQ(std::count(reached.begin(), reached.end(), true),
+            static_cast<ptrdiff_t>(plane.num_shards()));
+  plane.EvictIdle(1.2e9 + 300.0 * 24.0, &closed);
+  EXPECT_GT(plane.session_stats().sessions_evicted_idle, 0u);
+  EXPECT_GT(plane.num_open_sessions(), 0u);
+  expect_gauges_match("after EvictIdle");
+  plane.FlushAll(&closed);
+  EXPECT_EQ(plane.num_open_sessions(), 0u);
+  expect_gauges_match("after FlushAll");
+}
+
 TEST(ShardMetricsTest, StatusPageRendersPerShardSection) {
   const ShardFixture& fixture = ShardFixture::Get();
   ModelRegistry registry;
@@ -448,7 +500,6 @@ TEST(ShardConcurrencyTest, HotSwapUnderShardedPredictStaysConsistent) {
   ServingPlaneOptions options;
   options.shards = 4;
   options.batching.max_batch_size = 1;  // Dispatch immediately.
-  options.batching.max_delay_seconds = 0.05;
   ServingPlane plane(&registry, options);
 
   constexpr int kReaders = 3;

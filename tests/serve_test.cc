@@ -550,6 +550,60 @@ TEST(ModelRegistryTest, NormalizationMatchesMinMaxScaler) {
 
 // ------------------------------------------------------ Batch predictor --
 
+std::vector<double> FixtureRow(size_t r) {
+  const auto row = ReplayFixture::Get().dataset.features().Row(r);
+  return {row.begin(), row.end()};
+}
+
+// Parks a predictor's worker behind one blocker batch. Dispatch is
+// work-conserving, so an idle worker takes a request the moment it is
+// queued; to make requests queue, the first batch the worker takes draws
+// an injected batch delay (batch_delay:p=1) and holds the worker for
+// kHoldMs. Once the batch_delay counter shows the draw, the injector is
+// switched off, so every later batch (the worker's or Flush's) runs
+// clean. Declare it before the predictor: the injector must outlive it.
+class ParkedWorker {
+ public:
+  static constexpr double kHoldMs = 200.0;
+
+  ParkedWorker() : injector_(HoldSpec()) {}
+
+  /// Wires the blocker's injector; max_batch_size is large enough that
+  /// everything queued behind the blocker leaves as one batch.
+  BatchPredictorOptions Options() {
+    BatchPredictorOptions options;
+    options.max_batch_size = 1000;
+    options.fault_injector = &injector_;
+    return options;
+  }
+
+  /// Submits the blocker and returns once the worker is holding it.
+  void Park(BatchPredictor& predictor) {
+    const obs::Counter& injected = obs::MetricsRegistry::Global().GetCounter(
+        "serve.faults.injected.batch_delay");
+    const uint64_t before = injected.value();
+    blocker_ = predictor.Submit(PredictRequest(FixtureRow(0)));
+    while (injected.value() == before) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    injector_.set_enabled(false);
+  }
+
+  /// The blocker's own answer, served once the hold ends.
+  Result<Prediction> BlockerResult() { return blocker_.get(); }
+
+ private:
+  static FaultSpec HoldSpec() {
+    FaultSpec spec;
+    spec.batch_delay_p = 1.0;
+    spec.batch_delay_latency_ms = kHoldMs;
+    return spec;
+  }
+
+  FaultInjector injector_;
+  std::future<Result<Prediction>> blocker_;
+};
+
 TEST(BatchPredictorTest, NoActiveModelFailsCleanly) {
   ModelRegistry registry;
   BatchPredictor predictor(&registry);
@@ -574,7 +628,6 @@ TEST(BatchPredictorTest, DeterministicAcrossBatchCompositions) {
   const auto run = [&](size_t max_batch) {
     BatchPredictorOptions options;
     options.max_batch_size = max_batch;
-    options.max_delay_seconds = 0.001;
     BatchPredictor predictor(&registry, options);
     std::vector<std::future<Result<Prediction>>> futures;
     for (const auto& request : requests) {
@@ -605,30 +658,58 @@ TEST(BatchPredictorTest, DeterministicAcrossBatchCompositions) {
   }
 }
 
-TEST(BatchPredictorTest, DeadlineDispatchesPartialBatch) {
+TEST(BatchPredictorTest, FreedWorkerDispatchesPartialBatch) {
   const ReplayFixture& fixture = ReplayFixture::Get();
   ModelRegistry registry;
   ASSERT_TRUE(registry.Publish(fixture.model).ok());
-  BatchPredictorOptions options;
-  options.max_batch_size = 1000;  // Never reached: deadline must fire.
-  options.max_delay_seconds = 0.002;
-  BatchPredictor predictor(&registry, options);
-  const auto row = fixture.dataset.features().Row(0);
-  auto future = predictor.Submit(PredictRequest({row.begin(), row.end()}));
+  ParkedWorker parked;
+  // max_batch_size 1000 is never reached: the lone request behind the
+  // blocker leaves as soon as the worker is free, with no timer to wait
+  // out.
+  BatchPredictor predictor(&registry, parked.Options());
+  parked.Park(predictor);
+  auto future = predictor.Submit(PredictRequest(FixtureRow(0)));
   const auto result = future.get();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().label, fixture.offline_predictions[0]);
-  EXPECT_EQ(predictor.counters().batches, 1u);
+  EXPECT_EQ(predictor.counters().batches, 2u);  // The blocker, then it.
+  EXPECT_EQ(predictor.counters().max_batch, 1u);
+}
+
+TEST(BatchPredictorTest, RequestsQueuedBehindABusyWorkerLeaveAsOneBatch) {
+  const ReplayFixture& fixture = ReplayFixture::Get();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(fixture.model).ok());
+  ParkedWorker parked;
+  BatchPredictor predictor(&registry, parked.Options());
+  parked.Park(predictor);
+  constexpr size_t kQueued = 12;
+  std::vector<std::future<Result<Prediction>>> futures;
+  for (size_t r = 0; r < kQueued; ++r) {
+    futures.push_back(predictor.Submit(PredictRequest(FixtureRow(r))));
+  }
+  for (size_t r = 0; r < kQueued; ++r) {
+    const auto result = futures[r].get();
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().label, fixture.offline_predictions[r]);
+  }
+  ASSERT_TRUE(parked.BlockerResult().ok());
+  // Work-conserving dispatch: the blocker's batch, then everything that
+  // queued while it ran.
+  const BatchPredictor::Counters counters = predictor.counters();
+  EXPECT_EQ(counters.batches, 2u);
+  EXPECT_EQ(counters.max_batch, kQueued);
 }
 
 TEST(BatchPredictorTest, BadRequestFailsOnlyItself) {
   const ReplayFixture& fixture = ReplayFixture::Get();
   ModelRegistry registry;
   ASSERT_TRUE(registry.Publish(fixture.model).ok());
-  BatchPredictorOptions options;
+  ParkedWorker parked;
+  BatchPredictorOptions options = parked.Options();
   options.max_batch_size = 2;  // Both requests land in one batch.
-  options.max_delay_seconds = 0.05;
   BatchPredictor predictor(&registry, options);
+  parked.Park(predictor);
   auto bad = predictor.Submit(PredictRequest(std::vector<double>(5, 0.0)));
   const auto row = fixture.dataset.features().Row(0);
   auto good = predictor.Submit(PredictRequest({row.begin(), row.end()}));
@@ -644,10 +725,9 @@ TEST(BatchPredictorTest, FlushProcessesPendingOnCallerThread) {
   const ReplayFixture& fixture = ReplayFixture::Get();
   ModelRegistry registry;
   ASSERT_TRUE(registry.Publish(fixture.model).ok());
-  BatchPredictorOptions options;
-  options.max_batch_size = 1000;
-  options.max_delay_seconds = 60.0;  // Deadline effectively never fires.
-  BatchPredictor predictor(&registry, options);
+  ParkedWorker parked;  // The worker is busy: only Flush can serve these.
+  BatchPredictor predictor(&registry, parked.Options());
+  parked.Park(predictor);
   std::vector<std::future<Result<Prediction>>> futures;
   for (size_t r = 0; r < 5; ++r) {
     const auto row = fixture.dataset.features().Row(r);
@@ -713,6 +793,86 @@ TEST(ModelRegistryTest, HotSwapRaceKeepsSnapshotsConsistent) {
 }
 
 // ----------------------------------------------------- Fig. 3 subset --
+
+// Lost-wakeup stress for the idle-only notify: producers submit single
+// requests with random gaps — some back to back, some long enough for the
+// worker to drain the queue and go idle — so submits race the worker's
+// step into and out of its wait. A lost wakeup strands a request in the
+// queue; every future must be ready within 5 s. Run under
+// -DTRAJKIT_SANITIZE=thread (tools/run_ci.sh).
+TEST(BatchPredictorTest, ConcurrentSubmitsNeverStrandARequest) {
+  const ReplayFixture& fixture = ReplayFixture::Get();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(fixture.model).ok());
+  BatchPredictor predictor(&registry);
+
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 500;
+  struct Submitted {
+    size_t row;
+    std::future<Result<Prediction>> future;
+  };
+  std::vector<std::vector<Submitted>> submitted(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      Rng rng(100 + static_cast<uint64_t>(p));
+      for (int i = 0; i < kPerProducer; ++i) {
+        const size_t row = rng.NextBounded(fixture.dataset.num_samples());
+        submitted[p].push_back(
+            {row, predictor.Submit(PredictRequest(FixtureRow(row)))});
+        if (rng.NextBounded(4) == 0) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(rng.NextBounded(300)));
+        }
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (std::vector<Submitted>& mine : submitted) {
+    for (Submitted& request : mine) {
+      ASSERT_EQ(request.future.wait_until(deadline),
+                std::future_status::ready)
+          << "request stranded in the queue";
+      const auto result = request.future.get();
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result.value().label,
+                fixture.offline_predictions[request.row]);
+    }
+  }
+  EXPECT_EQ(predictor.counters().requests,
+            static_cast<size_t>(kProducers * kPerProducer));
+}
+
+// A Submit that wakes the idle worker can have its request taken by a
+// Flush on the submitting thread before the worker runs: the worker then
+// wakes to an empty queue. It must go back to sleep re-armed, so that the
+// next Submit still wakes it; that request is answered with no Flush.
+TEST(BatchPredictorTest, FlushBetweenWakeupAndWorkerKeepsWorkerWakeable) {
+  const ReplayFixture& fixture = ReplayFixture::Get();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(fixture.model).ok());
+  BatchPredictor predictor(&registry);
+
+  for (int round = 0; round < 50; ++round) {
+    // Let the worker finish the last batch and sleep on the empty queue.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    auto flushed = predictor.Submit(PredictRequest(FixtureRow(0)));
+    predictor.Flush();
+    auto next = predictor.Submit(PredictRequest(FixtureRow(1)));
+    ASSERT_EQ(next.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "worker never woke for the request after a Flush (round "
+        << round << ")";
+    ASSERT_TRUE(flushed.get().ok());
+    const auto result = next.get();
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().label, fixture.offline_predictions[1]);
+  }
+}
 
 TEST(FeatureSubsetTest, LoadsTopKFromFig3Csv) {
   const std::string path = testing::TempDir() + "/serve_test/fig3.csv";
@@ -818,48 +978,42 @@ TEST(ReplayTest, PeriodicIdleEvictionStillEvaluatesEverySegment) {
 
 // ------------------------------------------------- Request lifecycle --
 
-// Options that park the worker: the size/delay triggers can never fire, so
-// queued requests sit until a deadline wakes the worker or Flush drains
-// them. Used to test the admission/deadline paths without racing dispatch.
-BatchPredictorOptions ParkedWorkerOptions() {
-  BatchPredictorOptions options;
-  options.max_batch_size = 1000;
-  options.max_delay_seconds = 60.0;
-  return options;
-}
-
-std::vector<double> FixtureRow(size_t r) {
-  const auto row = ReplayFixture::Get().dataset.features().Row(r);
-  return {row.begin(), row.end()};
-}
-
 TEST(BatchPredictorTest, ExpiredDeadlineFailsFastAtSubmit) {
   const ReplayFixture& fixture = ReplayFixture::Get();
   ModelRegistry registry;
   ASSERT_TRUE(registry.Publish(fixture.model).ok());
-  BatchPredictor predictor(&registry, ParkedWorkerOptions());
+  ParkedWorker parked;
+  BatchPredictor predictor(&registry, parked.Options());
+  parked.Park(predictor);
+  const size_t accepted = predictor.counters().requests;  // The blocker.
   auto future = predictor.Submit(
       PredictRequest(FixtureRow(0), RequestContext::WithTimeout(-1.0)));
   // Resolves without any dispatch: the request never entered the queue.
   const auto result = future.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(predictor.counters().requests, 0u);
+  EXPECT_EQ(predictor.counters().requests, accepted);
 }
 
 TEST(BatchPredictorTest, DeadlineExpiresWhileQueued) {
   const ReplayFixture& fixture = ReplayFixture::Get();
   ModelRegistry registry;
   ASSERT_TRUE(registry.Publish(fixture.model).ok());
-  // Dispatch triggers parked: only the deadline can resolve the request,
-  // which exercises the worker's wake-at-min-deadline path (no Flush).
-  BatchPredictor predictor(&registry, ParkedWorkerOptions());
+  // The worker is busy with the blocker for far longer than the doomed
+  // request's deadline: the sweep the freed worker runs before taking its
+  // next batch must expire it while still queued (no Flush).
+  ParkedWorker parked;
+  BatchPredictor predictor(&registry, parked.Options());
+  parked.Park(predictor);
   auto doomed = predictor.Submit(
       PredictRequest(FixtureRow(0), RequestContext::WithTimeout(0.005)));
   auto patient = predictor.Submit(PredictRequest(FixtureRow(1)));
   const auto result = doomed.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(result.status().message().find("while queued"),
+            std::string::npos)
+      << result.status().message();
   EXPECT_EQ(predictor.counters().deadline_exceeded, 1u);
   // The deadline-free neighbour is untouched by the sweep.
   predictor.Flush();
@@ -872,9 +1026,11 @@ TEST(BatchPredictorTest, AdmissionShedsLowestPriorityFirst) {
   const ReplayFixture& fixture = ReplayFixture::Get();
   ModelRegistry registry;
   ASSERT_TRUE(registry.Publish(fixture.model).ok());
-  BatchPredictorOptions options = ParkedWorkerOptions();
+  ParkedWorker parked;
+  BatchPredictorOptions options = parked.Options();
   options.max_queue = 2;
   BatchPredictor predictor(&registry, options);
+  parked.Park(predictor);  // The blocker has left the queue.
 
   const auto submit = [&](size_t row, int priority) {
     PredictRequest request(FixtureRow(row));

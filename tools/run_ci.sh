@@ -21,7 +21,8 @@
 #   6. TSan:   concurrency-labelled tests under ThreadSanitizer
 #   7. ASan:   the full suite under AddressSanitizer
 #   8. bench:  perf-regression gate (tools/check_bench.py) against the
-#              checked-in BENCH_baseline.json, incl. the shadow-scoring
+#              checked-in BENCH_baseline.json (which must be its own
+#              --update serialisation), incl. the shadow-scoring
 #              and telemetry-tick ingest-overhead self-gates
 #              (--require_shadow_overhead / --require_tick_overhead)
 #
@@ -418,6 +419,9 @@ fi
 if [[ "$SKIP_BENCH" -eq 1 ]]; then
   echo "==> bench gate skipped (--skip-bench)"
 else
+  # The baseline must be exactly what --update writes (sorted keys,
+  # canonical layout): a hand-formatted edit fails here.
+  python3 tools/check_bench.py --baseline=BENCH_baseline.json --verify_baseline
   echo "==> bench gate: ${BENCH_RUNS} run(s) of micro_serve + micro_parallel + micro_ml + micro_store"
   BENCH_OUT="$BUILD_DIR/bench-gate"
   mkdir -p "$BENCH_OUT"

@@ -29,7 +29,7 @@
 //
 //   trajkit serve-replay  (--data=DIR | --synthetic) --model=FILE.model
 //                     [--labels=dabiri|endo|all] [--batch=64]
-//                     [--max_delay_ms=2] [--gap=SECONDS]
+//                     [--gap=SECONDS]
 //                     [--max_window=N] [--shards=1]
 //                     [--subset=FILE.csv --method=importance --top_k=20]
 //                     [--deadline_ms=D] [--max_queue=N] [--retries=R]
