@@ -12,7 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "geo/geodesy.h"
-#include "serve/streaming_features.h"
+#include "serve/session_manager.h"
 #include "stats/descriptive.h"
 #include "synthgeo/generator.h"
 #include "traj/point_features.h"
@@ -114,20 +114,26 @@ void BM_PercentilesDuplicates(benchmark::State& state) {
 }
 BENCHMARK(BM_PercentilesDuplicates)->Arg(584);
 
-// Per-point ingest of the serving path: StreamingFeatureExtractor::Add over
-// a 584-point segment, then Reset() as the session layer does at close.
-void BM_StreamingAdd(benchmark::State& state) {
+// Per-point cost of the serving path's feature work: SessionManager ingest
+// of a 584-point segment (the leg step per fix) plus its close (the derive
+// step and the 70 statistics). Each iteration opens and closes a session;
+// the manager's close scratch is reused across iterations.
+void BM_SessionIngest(benchmark::State& state) {
   const auto points = RandomWalkPoints(584);
-  serve::StreamingFeatureExtractor extractor;
+  serve::SessionOptions options;
+  options.idle_after_seconds = 0.0;
+  serve::SessionManager sessions(options);
+  std::vector<serve::ClosedSegment> closed;
   for (auto _ : state) {
-    for (const auto& point : points) extractor.Add(point);
-    benchmark::DoNotOptimize(extractor.point_features().speed.data());
-    extractor.Reset();
+    for (const auto& point : points) sessions.Ingest(1, point, &closed);
+    sessions.CloseSession(1, serve::CloseReason::kFlush, &closed);
+    benchmark::DoNotOptimize(closed.back().features.data());
+    closed.clear();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(points.size()));
 }
-BENCHMARK(BM_StreamingAdd);
+BENCHMARK(BM_SessionIngest);
 
 void BM_Segmentation(benchmark::State& state) {
   synthgeo::GeneratorOptions options;

@@ -2,8 +2,8 @@
 //
 // Phase A sweeps the ServingPlane over --shards_list (default 1,8): the
 // point stream is partitioned by the plane's hash(user_id) routing and one
-// writer thread per shard drives SessionManager +
-// StreamingFeatureExtractor concurrently — shard-per-core ingest scaling
+// writer thread per shard drives its SessionManager (segment close and
+// the 70 features) concurrently — shard-per-core ingest scaling
 // (ingest_t<S>_s; S=1 is the pre-shard single-writer baseline).
 // --require_shard_scaling=R additionally fails the run unless the largest
 // shard count ingests >= R times the shards=1 rate (CI passes it only on
@@ -39,9 +39,10 @@
 // ingest loop with a TimeSeriesStore + SloEngine ticking every 16 closed
 // segments (4x the serve-replay default rate), predictions submitted only
 // after the timed loop in both arms. Recorded as
-// timeseries_tick_t1_s; --require_tick_overhead=R fails the run when the
-// relative ingest overhead exceeds R (CI passes 0.05 — a tick is a
-// handful of relaxed loads, it must not show up in ingest throughput).
+// timeseries_tick_t1_s (best of 31); --require_tick_overhead=R fails the
+// run when the median ticked/plain ratio of the 31 paired repetitions
+// exceeds 1+R (CI passes 0.05 — a tick is a handful of relaxed loads, it
+// must not show up in ingest throughput).
 //
 // Flags: --users/--days/--seed (corpus), --trees, --batch,
 // --overload_deadline_ms, --shards_list=1,8, --require_shard_scaling=R,
@@ -394,7 +395,7 @@ int Main(int argc, char** argv) {
   // TimeSeriesStore + SloEngine ticking every 16 closed segments (the
   // serve-replay default is 64 — this measures 4x the production tick
   // rate). Recorded as timeseries_tick_t1_s; --require_tick_overhead=R
-  // self-gates the relative ingest cost (CI passes 0.05).
+  // self-gates the median paired ticked/plain ratio (CI passes 0.05).
   {
     SetMaxThreads(1);
     obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
@@ -431,18 +432,27 @@ int Main(int argc, char** argv) {
     run_ingest_loop(batching, /*submit_after_timing=*/true);  // Warmup.
     double plain_seconds = 0.0;
     double ticked_seconds = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
+    // 31 pairs: the median of their ratios ignores up to 15
+    // repetitions disturbed by the host.
+    constexpr int kTickPairs = 31;
+    std::vector<double> ratios;
+    for (int rep = 0; rep < kTickPairs; ++rep) {
       const double plain =
           run_ingest_loop(batching, /*submit_after_timing=*/true);
       if (rep == 0 || plain < plain_seconds) plain_seconds = plain;
       const double ticked = run_ingest_loop(
           batching, /*submit_after_timing=*/true, /*tick_every=*/16, tick);
       if (rep == 0 || ticked < ticked_seconds) ticked_seconds = ticked;
+      if (plain > 0.0) ratios.push_back(ticked / plain);
     }
+    // The gate reads the median of the paired ticked/plain ratios: the two
+    // arms of a pair run back to back, so host drift cancels within the
+    // pair.
     const double overhead =
-        plain_seconds > 0.0 ? ticked_seconds / plain_seconds - 1.0 : 0.0;
+        ratios.empty() ? 0.0 : stats::Median(ratios) - 1.0;
     std::printf("telemetry tick: ingest %.3f s plain vs %.3f s ticked at 1 "
-                "thread (%+.1f%% overhead, %llu ticks, %zu series)\n",
+                "thread (%+.1f%% median paired overhead, %llu ticks, %zu "
+                "series)\n",
                 plain_seconds, ticked_seconds, overhead * 100.0,
                 static_cast<unsigned long long>(tick_index),
                 store.series_count());

@@ -85,9 +85,15 @@ double NormalizeBearingDeg(double bearing_deg) {
 }
 
 double BearingDifferenceDeg(double a_deg, double b_deg) {
-  double diff =
-      std::fmod(NormalizeBearingDeg(b_deg) - NormalizeBearingDeg(a_deg),
-                360.0);
+  // On [0, 360), the range of every bearing this module returns, both
+  // normalizations and the fmod are exact identities (|b - a| < 360), so
+  // skipping their three libm calls changes no bit. Segment close runs
+  // this once per fix.
+  double diff = b_deg - a_deg;
+  if (!(a_deg >= 0.0 && a_deg < 360.0 && b_deg >= 0.0 && b_deg < 360.0)) {
+    diff = std::fmod(NormalizeBearingDeg(b_deg) - NormalizeBearingDeg(a_deg),
+                     360.0);
+  }
   if (diff > 180.0) diff -= 360.0;
   if (diff <= -180.0) diff += 360.0;
   return diff;

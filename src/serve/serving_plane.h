@@ -35,7 +35,7 @@ struct ServingPlaneOptions {
 
 /// N independent serving shards — shard-per-core scaling of the ingest
 /// path. Requests are routed by hash(user_id) % shards; each shard owns
-/// its session map, streaming-extractor state, micro-batch queue, deadline
+/// its session map, open-segment leg columns, micro-batch queue, deadline
 /// sweeper, and admission-control watermarks, so writers on different
 /// shards never contend. Predictions fan in through the single versioned
 /// ModelRegistry: every shard snapshots the same registry per batch, so a

@@ -4,9 +4,9 @@
 #include <string>
 #include <utility>
 
-#include "common/check.h"
 #include "common/strings.h"
 #include "obs/request_trace.h"
+#include "traj/trajectory_features.h"
 
 namespace trajkit::serve {
 
@@ -68,13 +68,13 @@ SessionManager::SessionManager(SessionOptions options)
 void SessionManager::CloseSegment(int64_t session_id, Session* session,
                                   CloseReason reason,
                                   std::vector<ClosedSegment>* closed) {
-  if (session->count == 0) return;
+  if (session->count() == 0) return;
   // Feature extraction needs two points even when the configured floor is
   // lower.
   const size_t min_points =
       std::max<size_t>(2, static_cast<size_t>(
                               std::max(options_.min_points, 0)));
-  if (session->count < min_points) {
+  if (session->count() < min_points) {
     ++stats_.segments_discarded_short;
     metric_discarded_short_.Increment();
   } else if (options_.drop_unlabeled &&
@@ -82,20 +82,23 @@ void SessionManager::CloseSegment(int64_t session_id, Session* session,
     ++stats_.segments_discarded_unlabeled;
     metric_discarded_unlabeled_.Increment();
   } else {
-    Result<std::vector<double>> features = session->extractor.Flush();
-    TRAJKIT_CHECK(features.ok()) << features.status().ToString();
+    scratch_.duration = session->duration;
+    scratch_.distance = session->distance;
+    scratch_.bearing = session->bearing;
+    traj::DerivePointFeatures(options_.point_features, &scratch_);
     ClosedSegment segment;
     segment.session_id = session_id;
     segment.user_id = static_cast<int>(session_id);
     segment.day = session->day;
     segment.mode = session->mode;
     segment.start_time = session->start_time;
-    segment.end_time = session->last_time;
-    segment.num_points = session->count;
+    segment.end_time = session->last.timestamp;
+    segment.num_points = session->count();
     segment.reason = reason;
     segment.bbox = session->bbox;
-    segment.features = std::move(features).value();
-    if (options_.keep_points) segment.points = session->points;
+    segment.features =
+        traj::TrajectoryFeatureExtractor(options_.point_features)
+            .ExtractFromPointFeatures(scratch_);
     // Mint the request trace here: segments are closed on the (single)
     // ingest thread in deterministic order, so trace ids — and with them
     // the head-sampling decision — are reproducible at any worker-thread
@@ -114,10 +117,12 @@ void SessionManager::CloseSegment(int64_t session_id, Session* session,
     metric_closed_by_reason_[static_cast<size_t>(reason)]->Increment();
     if (closed_sink_) closed_sink_(closed->back());
   }
-  session->extractor.Reset();
-  session->points.clear();
+  // clear(), not reassignment: the columns keep their capacity for the
+  // session's next segment.
+  session->duration.clear();
+  session->distance.clear();
+  session->bearing.clear();
   session->bbox = geo::BoundingBox();
-  session->count = 0;
 }
 
 void SessionManager::Ingest(int64_t session_id,
@@ -129,7 +134,6 @@ void SessionManager::Ingest(int64_t session_id,
   auto [it, inserted] = sessions_.try_emplace(session_id);
   Session& session = it->second;
   if (inserted) {
-    session.extractor = StreamingFeatureExtractor(options_.point_features);
     lru_.push_front(session_id);
     session.lru = lru_.begin();
     SetActiveGauges();
@@ -139,14 +143,14 @@ void SessionManager::Ingest(int64_t session_id,
 
   // Same cleaning rule as the offline segmenter: a fix older than the last
   // kept fix of this session is dropped (even across a segment boundary).
-  if (session.has_last && point.timestamp < session.last_time) {
+  if (session.has_last && point.timestamp < session.last.timestamp) {
     ++stats_.points_dropped_out_of_order;
     metric_out_of_order_.Increment();
     return;
   }
 
   const int64_t day = traj::DayIndex(point.timestamp);
-  if (session.count > 0) {
+  if (session.count() > 0) {
     // Boundary checks in the offline segmenter's order; the first match
     // names the close reason.
     bool boundary = false;
@@ -158,7 +162,7 @@ void SessionManager::Ingest(int64_t session_id,
       boundary = true;
       reason = CloseReason::kDayBoundary;
     } else if (options_.max_gap_seconds > 0.0 &&
-               point.timestamp - session.last_time >
+               point.timestamp - session.last.timestamp >
                    options_.max_gap_seconds) {
       boundary = true;
       reason = CloseReason::kTimeGap;
@@ -166,21 +170,29 @@ void SessionManager::Ingest(int64_t session_id,
     if (boundary) CloseSegment(session_id, &session, reason, closed);
   }
 
-  if (session.count == 0) {
+  // The leg step of traj::ComputePointFeatures, one fix at a time; the
+  // first fix of a segment has no leg, and its entries are filled at close.
+  const geo::LatTrig trig = geo::LatitudeTrig(point.pos.lat_deg);
+  traj::PointLeg leg;
+  if (session.count() == 0) {
     session.day = day;
     session.mode = point.mode;
     session.start_time = point.timestamp;
+  } else {
+    leg = traj::ComputeLeg(session.last, session.last_trig, point, trig,
+                           options_.point_features);
   }
-  session.extractor.Add(point);
-  if (options_.keep_points) session.points.push_back(point);
+  session.duration.push_back(leg.duration);
+  session.distance.push_back(leg.distance);
+  session.bearing.push_back(leg.bearing);
   session.bbox.Extend(point.pos);
-  ++session.count;
-  session.last_time = point.timestamp;
+  session.last = point;
+  session.last_trig = trig;
   session.has_last = true;
 
   // Max-window rule: the serving-only bound on per-segment buffers.
   if (options_.max_segment_points > 0 &&
-      session.count >= options_.max_segment_points) {
+      session.count() >= options_.max_segment_points) {
     CloseSegment(session_id, &session, CloseReason::kMaxWindow, closed);
   }
 
@@ -219,7 +231,7 @@ std::vector<int64_t> SessionManager::IdleSessionIds(double now) const {
   if (options_.idle_after_seconds <= 0.0) return ids;
   for (const auto& [session_id, session] : sessions_) {
     if (session.has_last &&
-        now - session.last_time > options_.idle_after_seconds) {
+        now - session.last.timestamp > options_.idle_after_seconds) {
       ids.push_back(session_id);
     }
   }

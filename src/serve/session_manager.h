@@ -11,7 +11,7 @@
 
 #include "geo/geodesy.h"
 #include "obs/metrics.h"
-#include "serve/streaming_features.h"
+#include "traj/point_features.h"
 #include "traj/segmentation.h"
 #include "traj/types.h"
 
@@ -45,15 +45,12 @@ struct SessionOptions {
   /// Hard cap on concurrently open sessions; beyond it the
   /// least-recently-updated session is flushed and evicted. 0 = unbounded.
   size_t max_sessions = 0;
-  /// Retain the raw points of emitted segments (tests / debugging; off in
-  /// production to keep closed segments small).
-  bool keep_points = false;
   /// Shard index when this manager is one shard of a ServingPlane; >= 0
   /// additionally mirrors the session counters under
   /// "serve.shard<i>.sessions.*" so statusz and the CI shard-determinism
   /// matrix can attribute load per shard. -1 (default) = unsharded.
   int shard = -1;
-  /// Forwarded to the streaming feature extractor.
+  /// Options of the point-feature kernel run at ingest and close.
   traj::PointFeatureOptions point_features;
 };
 
@@ -91,8 +88,6 @@ struct ClosedSegment {
   geo::BoundingBox bbox;
   /// The 70 trajectory features (bit-identical to the batch extractor).
   std::vector<double> features;
-  /// Raw points; populated only when SessionOptions::keep_points.
-  std::vector<traj::TrajectoryPoint> points;
 };
 
 /// Counters of one SessionManager's lifetime.
@@ -164,20 +159,29 @@ class SessionManager {
 
  private:
   struct Session {
-    StreamingFeatureExtractor extractor;
-    std::vector<traj::TrajectoryPoint> points;  // keep_points only.
+    /// Leg columns of the open segment, one entry per fix, index-aligned
+    /// with traj::PointFeatures (entry 0 is filled at close).
+    std::vector<double> duration;
+    std::vector<double> distance;
+    std::vector<double> bearing;
+    traj::TrajectoryPoint last;  // Last kept fix, valid when has_last.
+    geo::LatTrig last_trig;      // Its latitude trig, for the next leg.
     geo::BoundingBox bbox;  // MBR of the open segment's kept fixes.
     int64_t day = 0;
     traj::Mode mode = traj::Mode::kUnknown;
     double start_time = 0.0;
-    double last_time = 0.0;
     bool has_last = false;  // Any fix kept since the session was created.
-    size_t count = 0;       // Points in the open segment (0 = none open).
     std::list<int64_t>::iterator lru;
+
+    /// Points in the open segment (0 = none open).
+    size_t count() const { return duration.size(); }
   };
 
   /// Flushes the open segment of `session` (if any) as `reason`, applying
   /// the min-point and unlabeled filters, and resets it for the next one.
+  /// An emitted segment's features come from traj::DerivePointFeatures and
+  /// ExtractFromPointFeatures over its leg columns, the steps the offline
+  /// extractor runs, so online and offline vectors are bit-identical.
   void CloseSegment(int64_t session_id, Session* session, CloseReason reason,
                     std::vector<ClosedSegment>* closed);
 
@@ -189,6 +193,9 @@ class SessionManager {
 
   SessionOptions options_;
   SessionManagerStats stats_;
+  /// Close-time scratch: the open segment's channels. Reused across
+  /// closes, so it keeps the capacity of the longest segment seen.
+  traj::PointFeatures scratch_;
   std::function<void(const ClosedSegment&)> closed_sink_;
   /// Process-wide mirrors of stats_ (serve.sessions.* counters, the
   /// serve.sessions.active gauge, and one serve.sessions.closed.<reason>

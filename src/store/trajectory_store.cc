@@ -64,7 +64,6 @@ StoredSegment FromClosedSegment(const serve::ClosedSegment& segment,
   stored.num_points = static_cast<uint32_t>(segment.num_points);
   stored.bbox = segment.bbox;
   stored.features = segment.features;
-  stored.points = segment.points;
   return stored;
 }
 

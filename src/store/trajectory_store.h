@@ -75,7 +75,8 @@ struct StoredSegment {
   geo::BoundingBox bbox;
   /// The 70 trajectory features flushed at close time.
   std::vector<double> features;
-  /// Raw fixes; only present when the session layer kept points.
+  /// Raw fixes, when the producer has them. FromClosedSegment leaves this
+  /// empty: the session layer keeps leg columns, not fixes.
   std::vector<traj::TrajectoryPoint> points;
 };
 

