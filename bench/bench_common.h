@@ -139,6 +139,13 @@ T DieOnError(Result<T> result, const char* what) {
   return std::move(result).value();
 }
 
+inline void DieOnError(const Status& status, const char* what) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
 }  // namespace trajkit::bench
 
 #endif  // TRAJKIT_BENCH_BENCH_COMMON_H_

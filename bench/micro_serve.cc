@@ -29,20 +29,20 @@
 // (serve/continuous_training.h): the corpus is replay-ingested through a
 // single-shard plane plain, then again with the same model republished as
 // the shadow candidate (worst case: shadow as expensive as active) and a
-// ShadowEvaluator wired in. Both runs are warmed and best-of-3; the
-// shadowed ingest time is recorded as shadow_overhead_t1_s, and
-// --require_shadow_overhead=R fails the run when the relative overhead
-// exceeds R (CI passes 0.15 — the shadow must ride the worker thread, not
-// the ingest path).
+// ShadowEvaluator wired in. After a warmup, 31 plain/shadowed pairs run;
+// the best shadowed ingest time is recorded as shadow_overhead_t1_s, and
+// --require_shadow_overhead=R fails the run when the median paired
+// shadowed/plain ratio exceeds 1+R (CI passes 0.15 — the shadow must ride
+// the worker thread, not the ingest path).
 //
 // Phase G measures the ingest cost of the live telemetry plane: the same
-// ingest loop with a TimeSeriesStore + SloEngine ticking every 16 closed
-// segments (4x the serve-replay default rate), predictions submitted only
-// after the timed loop in both arms. Recorded as
-// timeseries_tick_t1_s (best of 31); --require_tick_overhead=R fails the
-// run when the median ticked/plain ratio of the 31 paired repetitions
-// exceeds 1+R (CI passes 0.05 — a tick is a handful of relaxed loads, it
-// must not show up in ingest throughput).
+// ingest loop with the serving stack's ServingTelemetry (time series + SLO
+// engine) ticking every 16 closed segments (4x the serve-replay default
+// rate), predictions submitted only after the timed loop in both arms.
+// Recorded as timeseries_tick_t1_s (best of 31); --require_tick_overhead=R
+// fails the run when the median ticked/plain ratio of the 31 paired
+// repetitions exceeds 1+R (CI passes 0.05 — a tick is a handful of relaxed
+// loads, it must not show up in ingest throughput).
 //
 // Flags: --users/--days/--seed (corpus), --trees, --batch,
 // --overload_deadline_ms, --shards_list=1,8, --require_shard_scaling=R,
@@ -64,8 +64,6 @@
 
 #include "bench_common.h"
 #include "common/strings.h"
-#include "obs/slo.h"
-#include "obs/timeseries.h"
 #include "core/label_sets.h"
 #include "core/pipeline.h"
 #include "ml/random_forest.h"
@@ -73,6 +71,7 @@
 #include "serve/model_registry.h"
 #include "serve/serve_config.h"
 #include "serve/serving_plane.h"
+#include "serve/serving_stack.h"
 #include "serve/session_manager.h"
 #include "serve/shadow_evaluator.h"
 #include "stats/descriptive.h"
@@ -123,21 +122,13 @@ int Main(int argc, char** argv) {
   ml::RandomForestParams params;
   params.n_estimators = config.trees;
   ml::RandomForest forest(params);
-  if (const Status status = forest.Fit(dataset); !status.ok()) {
-    std::fprintf(stderr, "training failed: %s\n",
-                 status.ToString().c_str());
-    return 1;
-  }
+  DieOnError(forest.Fit(dataset), "training");
   serve::ModelRegistry registry;
-  if (const Status status = registry.Publish(DieOnError(
-          serve::MakeServingModel("bench-v1", std::move(forest),
-                                  traj::kNumTrajectoryFeatures),
-          "serving model"));
-      !status.ok()) {
-    std::fprintf(stderr, "registry failed: %s\n",
-                 status.ToString().c_str());
-    return 1;
-  }
+  DieOnError(registry.Publish(DieOnError(
+                 serve::MakeServingModel("bench-v1", std::move(forest),
+                                         traj::kNumTrajectoryFeatures),
+                 "serving model")),
+             "registry");
 
   // The point stream, in per-user order (what the session layer consumes),
   // and the closed-segment feature vectors (phase B/C input) computed once
@@ -271,6 +262,36 @@ int Main(int argc, char** argv) {
         return latencies;
       };
 
+  // Phases F and G each gate a paired overhead: 31 back-to-back pairs of
+  // a plain and a loaded ingest run, so host drift cancels within a pair,
+  // and the median of their ratios ignores up to 15 pairs disturbed by
+  // the host. Returns the median minus 1; *best_plain and *best_loaded
+  // get each arm's fastest run.
+  const auto paired_overhead = [](const std::function<double()>& plain,
+                                  const std::function<double()>& loaded,
+                                  double* best_plain, double* best_loaded) {
+    std::vector<double> ratios;
+    for (int rep = 0; rep < 31; ++rep) {
+      const double a = plain();
+      const double b = loaded();
+      if (rep == 0 || a < *best_plain) *best_plain = a;
+      if (rep == 0 || b < *best_loaded) *best_loaded = b;
+      if (a > 0.0) ratios.push_back(b / a);
+    }
+    return ratios.empty() ? 0.0 : stats::Median(ratios) - 1.0;
+  };
+  // --<flag>=R fails the run when `overhead` exceeds R (absent = no gate).
+  const auto exceeds = [&flags](const char* flag, const char* what,
+                                double overhead) {
+    const double bound = flags.GetDouble(flag, 0.0);
+    if (bound <= 0.0 || overhead <= bound) return false;
+    std::fprintf(stderr,
+                 "micro_serve: %s %+.1f%% ingest throughput (--%s=%.2f "
+                 "allows %.0f%%)\n",
+                 what, overhead * 100.0, flag, bound, bound * 100.0);
+    return true;
+  };
+
   // Phase F: shadow-scoring ingest overhead at one thread. Shadow
   // scoring runs on the predictor's worker thread, so the claim to pin is
   // that it stays OFF the ingest hot path: the replay-style ingest loop
@@ -285,10 +306,11 @@ int Main(int argc, char** argv) {
   // only after the stopwatch stops, so the timed loop is ingest (+ ticks)
   // alone: the predictor's worker, which answers each request as soon as
   // it is submitted, does not interleave with what is being compared.
+  // With `telemetry`, the loop ticks it every 16 closed segments (phase G).
   const auto run_ingest_loop =
       [&](const serve::BatchPredictorOptions& options,
-          bool submit_after_timing = false, size_t tick_every = 0,
-          const std::function<void()>& tick = {}) {
+          bool submit_after_timing = false,
+          serve::ServingTelemetry* telemetry = nullptr) {
         serve::ServingPlaneOptions plane_options;
         plane_options.batching = options;
         serve::ServingPlane plane(&registry, plane_options);
@@ -297,7 +319,7 @@ int Main(int argc, char** argv) {
         std::vector<std::future<Result<serve::Prediction>>> futures;
         futures.reserve(segment_features.size());
         size_t segments_closed = 0;
-        size_t next_tick = tick_every;
+        size_t next_tick = 16;
         const auto submit = [&](std::vector<serve::ClosedSegment>& segments) {
           for (serve::ClosedSegment& segment : segments) {
             futures.push_back(plane.Submit(
@@ -314,9 +336,9 @@ int Main(int argc, char** argv) {
           } else {
             submit(closed);
           }
-          while (next_tick > 0 && segments_closed >= next_tick) {
-            tick();
-            next_tick += tick_every;
+          while (telemetry != nullptr && segments_closed >= next_tick) {
+            telemetry->Tick();
+            next_tick += 16;
           }
         };
         Stopwatch watch;
@@ -339,50 +361,31 @@ int Main(int argc, char** argv) {
   {
     SetMaxThreads(1);
     run_ingest_loop(batching);  // Warmup: touch-fault both loops' memory.
-    if (const Status status =
-            registry.Publish("bench-v1", serve::ModelRole::kShadow);
-        !status.ok()) {
-      std::fprintf(stderr, "shadow publish failed: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
+    DieOnError(registry.Publish("bench-v1", serve::ModelRole::kShadow),
+               "shadow publish");
     serve::ShadowEvaluator evaluator;
     serve::BatchPredictorOptions shadowed = batching;
     shadowed.shadow_evaluator = &evaluator;
-    // Best-of-3, interleaved: the phase is ~tens of milliseconds, so a
-    // single pair of runs is scheduling-noise-dominated.
     double plain_seconds = 0.0;
     double shadow_seconds = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      const double plain = run_ingest_loop(batching);
-      if (rep == 0 || plain < plain_seconds) plain_seconds = plain;
-      evaluator.StartWindow("bench-v1", /*cost_ratio=*/1.0);
-      const double shadow = run_ingest_loop(shadowed);
-      evaluator.EndWindow();
-      if (rep == 0 || shadow < shadow_seconds) shadow_seconds = shadow;
-    }
-    if (const Status status = registry.RetireShadow("bench teardown");
-        !status.ok()) {
-      std::fprintf(stderr, "shadow retire failed: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-    const double overhead =
-        plain_seconds > 0.0 ? shadow_seconds / plain_seconds - 1.0 : 0.0;
+    const double overhead = paired_overhead(
+        [&] { return run_ingest_loop(batching); },
+        [&] {
+          evaluator.StartWindow("bench-v1", /*cost_ratio=*/1.0);
+          const double seconds = run_ingest_loop(shadowed);
+          evaluator.EndWindow();
+          return seconds;
+        },
+        &plain_seconds, &shadow_seconds);
+    DieOnError(registry.RetireShadow("bench teardown"), "shadow retire");
     std::printf("shadow scoring: ingest %.3f s plain vs %.3f s shadowed "
-                "at 1 thread (%+.1f%% overhead, %zu shadow samples)\n",
+                "at 1 thread (%+.1f%% median paired overhead, %zu shadow "
+                "samples)\n",
                 plain_seconds, shadow_seconds, overhead * 100.0,
                 evaluator.window().scored);
     timings.Record("shadow_overhead_t1_s", shadow_seconds);
-    const double require_overhead =
-        flags.GetDouble("require_shadow_overhead", 0.0);
-    if (require_overhead > 0.0 && overhead > require_overhead) {
-      std::fprintf(stderr,
-                   "micro_serve: shadow scoring costs %+.1f%% ingest "
-                   "throughput (--require_shadow_overhead=%.2f allows "
-                   "%.0f%%)\n",
-                   overhead * 100.0, require_overhead,
-                   require_overhead * 100.0);
+    if (exceeds("require_shadow_overhead", "shadow scoring costs",
+                overhead)) {
       return 1;
     }
   }
@@ -391,23 +394,13 @@ int Main(int argc, char** argv) {
   // plane (obs/timeseries.h + obs/slo.h) samples at ingest barriers, so
   // the claim to pin is that a tick — sampling every tracked series plus
   // a burn-rate evaluation — is cheap enough to ride the ingest loop.
-  // The same replay-style ingest is timed plain and with a
-  // TimeSeriesStore + SloEngine ticking every 16 closed segments (the
+  // The same replay-style ingest is timed plain and with the serving
+  // stack's ServingTelemetry ticking every 16 closed segments (the
   // serve-replay default is 64 — this measures 4x the production tick
   // rate). Recorded as timeseries_tick_t1_s; --require_tick_overhead=R
   // self-gates the median paired ticked/plain ratio (CI passes 0.05).
   {
     SetMaxThreads(1);
-    obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
-    obs::TimeSeriesStore store(global);
-    for (const char* name :
-         {"serve.sessions.points_ingested", "serve.sessions.segments_emitted",
-          "serve.batch_predictor.requests", "serve.shed_total.queue_full",
-          "serve.shed_total.preempted", "serve.deadline_exceeded_total",
-          "serve.degraded_total.previous_model",
-          "serve.degraded_total.majority_class"}) {
-      store.TrackCounter(name);
-    }
     std::vector<obs::SloSpec> slo_specs;
     std::string slo_error;
     if (!obs::ParseSloSpecs(
@@ -419,53 +412,29 @@ int Main(int argc, char** argv) {
                    slo_error.c_str());
       return 1;
     }
-    obs::SloEngine slo(&store, &global, std::move(slo_specs));
-    uint64_t tick_index = 0;
-    const auto tick = [&] {
-      store.Tick(static_cast<double>(tick_index));
-      slo.Evaluate(tick_index);
-      ++tick_index;
-    };
+    serve::ServingTelemetry telemetry(config.timeseries_capacity,
+                                      std::move(slo_specs));
     // Predictions are submitted after the timed loop in both arms: the
     // claim is about the tick, and a worker answering mid-loop would only
     // add scheduling noise to the ratio.
     run_ingest_loop(batching, /*submit_after_timing=*/true);  // Warmup.
     double plain_seconds = 0.0;
     double ticked_seconds = 0.0;
-    // 31 pairs: the median of their ratios ignores up to 15
-    // repetitions disturbed by the host.
-    constexpr int kTickPairs = 31;
-    std::vector<double> ratios;
-    for (int rep = 0; rep < kTickPairs; ++rep) {
-      const double plain =
-          run_ingest_loop(batching, /*submit_after_timing=*/true);
-      if (rep == 0 || plain < plain_seconds) plain_seconds = plain;
-      const double ticked = run_ingest_loop(
-          batching, /*submit_after_timing=*/true, /*tick_every=*/16, tick);
-      if (rep == 0 || ticked < ticked_seconds) ticked_seconds = ticked;
-      if (plain > 0.0) ratios.push_back(ticked / plain);
-    }
-    // The gate reads the median of the paired ticked/plain ratios: the two
-    // arms of a pair run back to back, so host drift cancels within the
-    // pair.
-    const double overhead =
-        ratios.empty() ? 0.0 : stats::Median(ratios) - 1.0;
+    const double overhead = paired_overhead(
+        [&] { return run_ingest_loop(batching, /*submit_after_timing=*/true); },
+        [&] {
+          return run_ingest_loop(batching, /*submit_after_timing=*/true,
+                                 &telemetry);
+        },
+        &plain_seconds, &ticked_seconds);
     std::printf("telemetry tick: ingest %.3f s plain vs %.3f s ticked at 1 "
                 "thread (%+.1f%% median paired overhead, %llu ticks, %zu "
                 "series)\n",
                 plain_seconds, ticked_seconds, overhead * 100.0,
-                static_cast<unsigned long long>(tick_index),
-                store.series_count());
+                static_cast<unsigned long long>(telemetry.ticks()),
+                telemetry.timeseries().series_count());
     timings.Record("timeseries_tick_t1_s", ticked_seconds);
-    const double require_tick_overhead =
-        flags.GetDouble("require_tick_overhead", 0.0);
-    if (require_tick_overhead > 0.0 && overhead > require_tick_overhead) {
-      std::fprintf(stderr,
-                   "micro_serve: telemetry ticks cost %+.1f%% ingest "
-                   "throughput (--require_tick_overhead=%.2f allows "
-                   "%.0f%%)\n",
-                   overhead * 100.0, require_tick_overhead,
-                   require_tick_overhead * 100.0);
+    if (exceeds("require_tick_overhead", "telemetry ticks cost", overhead)) {
       return 1;
     }
   }

@@ -75,8 +75,8 @@ int HarnessOptions::ApplyThreads() const {
   return MaxThreads();
 }
 
-void HarnessOptions::ConfigureTracing() const {
-  if (!tracing_requested()) return;
+void HarnessOptions::ConfigureTracing(bool always) const {
+  if (!always && !tracing_requested()) return;
   obs::RequestTracerOptions tracer_options;
   tracer_options.enabled = true;
   tracer_options.sample_every = trace_sample == 0 ? 1 : trace_sample;

@@ -58,9 +58,9 @@ struct HarnessOptions {
   }
 
   /// Configures the global RequestTracer from the --trace_* flags (no-op
-  /// when no trace output was requested — tracing stays disabled and the
-  /// serve path is bit-identical to an untraced run). Call before serving.
-  void ConfigureTracing() const;
+  /// unless `always` or a trace output was requested — tracing stays off
+  /// and the serve path is bit-identical to an untraced run). Call first.
+  void ConfigureTracing(bool always = false) const;
 
   /// Writes --trace_json / --trace_test from the global tracer if
   /// requested. Returns false (with a stderr note) when a file cannot be

@@ -19,6 +19,8 @@ struct Cursor {
   size_t point;
 };
 
+constexpr uint64_t kRetrySeed = 0x72657472790aULL;  // Backoff jitter.
+
 struct CursorLater {
   bool operator()(const Cursor& a, const Cursor& b) const {
     if (a.timestamp != b.timestamp) return a.timestamp > b.timestamp;
@@ -63,7 +65,6 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
     if (options.deadline_seconds > 0.0) {
       context = RequestContext::WithTimeout(options.deadline_seconds);
     }
-    context.priority = options.priority;
     context.retry_budget = options.retry_budget;
     return context;
   };
@@ -119,7 +120,7 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
   // end of stream — and, with a continuous trainer installed, at every
   // trainer step barrier, so the trainer only ever mutates the registry
   // while nothing is in flight (the determinism contract).
-  Backoff backoff(options.retry, options.retry_seed);
+  Backoff backoff(options.retry, kRetrySeed);
   const auto drain = [&]() -> Status {
     std::vector<InFlight> round = std::move(in_flight);
     in_flight.clear();

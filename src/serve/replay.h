@@ -24,15 +24,11 @@ struct ReplayOptions {
   size_t evict_every_points = 0;
   /// Per-request deadline measured from submission; 0 (default) = none.
   double deadline_seconds = 0.0;
-  /// Priority attached to every replayed request.
-  int priority = 0;
   /// Resubmissions allowed per request on a transient (Unavailable)
   /// failure. 0 (default) = never resubmit. Resubmission rounds are paced
-  /// by `retry` (jittered exponential backoff, deterministic under
-  /// `retry_seed`).
+  /// by `retry` (jittered exponential backoff from a fixed seed).
   int retry_budget = 0;
   RetryOptions retry;
-  uint64_t retry_seed = 0x72657472790aULL;
   /// Observer invoked once per closed segment after the replay's gather
   /// phase resolves (close order, off the ingest hot path —
   /// `ingest_seconds` never includes it). `predicted_class` is the label

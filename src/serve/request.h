@@ -38,11 +38,6 @@ struct RequestContext {
     return deadline != std::chrono::steady_clock::time_point::max();
   }
 
-  /// Seconds until the deadline relative to `now` (negative = expired).
-  double RemainingSeconds(std::chrono::steady_clock::time_point now) const {
-    return std::chrono::duration<double>(deadline - now).count();
-  }
-
   /// Context expiring `seconds` from now (measured at the call).
   static RequestContext WithTimeout(double seconds) {
     RequestContext context;

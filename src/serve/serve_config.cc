@@ -36,7 +36,9 @@ ServeConfigDefaults ServeReplayDefaults() {
 
 ServeConfigDefaults StatuszDefaults() {
   // Historic statusz demo defaults: a small chaotic sharded run whose
-  // artifacts exercise every section of the page.
+  // artifacts exercise every section of the page, with a p99 latency
+  // ceiling and a shed-rate ceiling so the slo and timeseries sections
+  // render live sparklines.
   ServeConfigDefaults defaults;
   defaults.users = 6;
   defaults.days = 2;
@@ -48,6 +50,13 @@ ServeConfigDefaults StatuszDefaults() {
   defaults.fault_spec =
       "swap_stall:p=0.15,latency_ms=2;predict_fail:p=0.15;"
       "batch_delay:p=0.2,latency_ms=1;seed=11";
+  defaults.slo_spec =
+      "latency_p99:type=latency,"
+      "metric=serve.batch_predictor.latency_seconds,ceiling_ms=50,"
+      "budget=0.05,fast=4,slow=16;"
+      "shed:type=ratio,bad=serve.shed_total.queue_full+"
+      "serve.shed_total.preempted,total=serve.batch_predictor.requests,"
+      "budget=0.02,fast=4,slow=16";
   return defaults;
 }
 
@@ -177,7 +186,9 @@ Result<ServeConfig> ParseServeFlags(const Flags& flags,
     return Status::InvalidArgument(
         "--http_linger requires --http_port");
   }
-  config.slo_spec_text = flags.GetString("slo_spec", "");
+  config.slo_spec_text = flags.Has("slo_spec")
+                             ? flags.GetString("slo_spec", "")
+                             : defaults.slo_spec;
   if (!config.slo_spec_text.empty()) {
     std::string error;
     if (!obs::ParseSloSpecs(config.slo_spec_text, &config.slo_specs,

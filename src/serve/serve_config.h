@@ -43,6 +43,9 @@ struct ServeConfigDefaults {
   /// Default chaos spec; non-empty = chaos on unless --fault_spec=
   /// (empty value) disables it.
   std::string fault_spec;
+  /// Default SLO spec; non-empty = objectives (and so ticks) on unless
+  /// --slo_spec= (empty value) disables them.
+  std::string slo_spec;
 };
 
 ServeConfigDefaults ServeReplayDefaults();
@@ -90,14 +93,12 @@ struct ServeConfig {
   int retries = 0;
 
   // Chaos. `fault_spec` is parsed from `fault_spec_text` (empty = off);
-  // the FaultInjector itself is built by the caller so its lifetime can
-  // outlive the plane.
+  // ServingStack builds the FaultInjector and the label prior from it.
   std::string fault_spec_text;
   std::optional<FaultSpec> fault_spec;
 
-  // Telemetry plane. `slo_specs` is parsed from `slo_spec_text`; the
-  // TimeSeriesStore / SloEngine / HttpExportServer themselves are built
-  // by the caller (their lifetimes span the replay).
+  // Telemetry plane. `slo_specs` is parsed from `slo_spec_text`;
+  // ServingStack builds the time series, SLO engine and HTTP server.
   int http_port = -1;        ///< --http_port: -1 = no server, 0 = ephemeral.
   bool http_linger = false;  ///< --http_linger: serve until /quitquitquit.
   std::string slo_spec_text;
@@ -112,12 +113,12 @@ struct ServeConfig {
 
   ContinuousTrainingConfig ct;
 
-  /// Batching options (fault injector / label prior / shadow evaluator
-  /// are wired by the caller).
+  /// Batching options (ServingStack wires the fault injector, label
+  /// prior and shadow evaluator).
   BatchPredictorOptions MakeBatchingOptions() const;
   /// Plane options embedding MakeBatchingOptions().
   ServingPlaneOptions MakePlaneOptions() const;
-  /// Replay options (closed_sink / trainer are wired by the caller).
+  /// Replay options (ServingStack wires the sink, trainer and tick).
   ReplayOptions MakeReplayOptions() const;
 };
 

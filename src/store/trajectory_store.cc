@@ -118,13 +118,6 @@ void TrajectoryStore::Ingest(StoredSegment segment) {
   metric_size_.Set(static_cast<double>(segments_.size()));
 }
 
-std::function<void(const serve::ClosedSegment&)>
-TrajectoryStore::MakeSessionSink() {
-  return [this](const serve::ClosedSegment& segment) {
-    Ingest(FromClosedSegment(segment, segment.mode));
-  };
-}
-
 size_t TrajectoryStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return segments_.size();

@@ -13,7 +13,6 @@
 // store.query.nodes_visited, store.query.postings_skipped.
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -150,11 +149,6 @@ class TrajectoryStore {
   /// Appends one segment; its id is the current size(). O(1) amortized —
   /// the spatial index is rebuilt lazily on the next query.
   void Ingest(StoredSegment segment);
-
-  /// Convenience: a sink for SessionManager::set_closed_sink feeding this
-  /// store directly from the session layer (predicted mode = annotated
-  /// mode — no predictor in that pipeline).
-  std::function<void(const serve::ClosedSegment&)> MakeSessionSink();
 
   size_t size() const;
 

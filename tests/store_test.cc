@@ -297,7 +297,9 @@ TEST(TrajectoryStoreTest, SessionSinkIngestsClosedSegmentsWithBbox) {
   session_options.min_points = 2;
   serve::SessionManager sessions(session_options);
   TrajectoryStore store;
-  sessions.set_closed_sink(store.MakeSessionSink());
+  sessions.set_closed_sink([&store](const serve::ClosedSegment& segment) {
+    store.Ingest(FromClosedSegment(segment, segment.mode));
+  });
 
   std::vector<serve::ClosedSegment> closed;
   traj::TrajectoryPoint point;

@@ -397,7 +397,8 @@ else
   cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
     --target parallel_test serve_test serve_shard_test serve_ct_test \
              obs_test obs_timeseries_test http_export_test \
-             request_trace_test ml_flat_forest_test store_test
+             request_trace_test ml_flat_forest_test store_test \
+             serve_stack_test
 
   echo "==> TSan: concurrency-labelled tests"
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \

@@ -47,8 +47,9 @@
 //                     [--trace_json=FILE] [--trace_test=FILE]
 //                     [--trace_sample=N] [--trace_buffer=M]
 //                     [--store_out=FILE] [--predictions_out=FILE]
-//       Replay a corpus through the online serving stack (streaming
-//       sessions -> incremental features -> micro-batched prediction) in
+//       Replay a corpus through the online serving stack (sessions keep
+//       leg columns -> the 70 features at segment close -> micro-batched
+//       prediction; serve/serving_stack.h) in
 //       global timestamp order and compare the accuracy against the
 //       offline pipeline on identically-segmented data. --shards=N routes
 //       users onto N independent serving shards (sessions + micro-batch
@@ -120,29 +121,30 @@
 //                     [--shards=2]
 //                     [--batch=..] [--deadline_ms=..] [--max_queue=..]
 //                     [--retries=..] [--fault_spec=SPEC | --fault_spec=]
+//                     [--slo_spec=SPEC | --slo_spec=]
+//                     [--http_port=P [--http_linger]]
 //                     [--continuous_training [--step_every=..] ...]
 //                     [--metrics_json/--metrics_prom/--trace_json/...]
 //       Self-contained serving demo that prints the text status page:
 //       train a small forest on a synthetic corpus, replay it through the
-//       serving stack (chaos on by default so every section is
+//       serve-replay stack (chaos on by default so every section is
 //       populated; --fault_spec= turns it off), then render active model
 //       version, queue depth, shed/degraded/fault counters, latency
 //       quantiles with exemplar trace ids, and the last tail-kept traces.
 //       With --continuous_training (same flag family as serve-replay) the
 //       page adds the shadow-scoring, continuous-training, and
 //       registry-audit sections. Every section always renders — subsystems
-//       that emitted nothing show "(no data)". The demo arms the live
-//       telemetry plane (a built-in latency+shed --slo_spec unless one is
-//       given), so the slo section and per-series sparklines render too.
+//       that emitted nothing show "(no data)". --slo_spec defaults to a
+//       latency+shed demo spec that arms the telemetry plane, so the slo
+//       section and sparklines render too; --slo_spec= turns both off
+//       (unless --http_port, honoured with --http_linger as in
+//       serve-replay, keeps the telemetry plane on).
 //
 // Every command also accepts --threads=N to bound the shared worker pool
 // (default: TRAJKIT_THREADS env var, else hardware concurrency). Results
 // are bit-identical at any thread count.
 
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -162,20 +164,10 @@
 #include "ml/metrics.h"
 #include "ml/model_io.h"
 #include "ml/random_forest.h"
-#include "obs/http_export.h"
 #include "obs/metrics.h"
-#include "obs/request_trace.h"
-#include "obs/slo.h"
-#include "obs/timeseries.h"
-#include "serve/batch_predictor.h"
-#include "serve/continuous_training.h"
-#include "serve/fault_injector.h"
 #include "serve/model_registry.h"
-#include "serve/replay.h"
 #include "serve/serve_config.h"
-#include "serve/serving_plane.h"
-#include "serve/session_manager.h"
-#include "serve/statusz.h"
+#include "serve/serving_stack.h"
 #include "store/trajectory_store.h"
 #include "synthgeo/generator.h"
 #include "traj/trajectory_features.h"
@@ -211,6 +203,18 @@ Result<core::LabelSet> LabelSetFromFlags(const Flags& flags) {
                                  "' (want dabiri|endo|all)");
 }
 
+/// The corpus at --data (GeoLife layout), else a synthetic one.
+Result<std::vector<traj::Trajectory>> LoadCorpus(
+    const Flags& flags, const synthgeo::GeneratorOptions& synthetic) {
+  const std::string data = flags.GetString("data", "");
+  if (!data.empty()) return geolife::LoadGeoLifeCorpus(data);
+  synthgeo::GeoLifeLikeGenerator generator(synthetic);
+  std::vector<traj::Trajectory> corpus = generator.Generate();
+  std::printf("(no --data; generated a synthetic corpus: %zu points)\n",
+              generator.summary().total_points);
+  return corpus;
+}
+
 int RunGenerate(const Flags& flags) {
   const std::string out = flags.GetString("out", "");
   if (out.empty()) {
@@ -234,20 +238,8 @@ int RunFeatures(const Flags& flags) {
     std::fprintf(stderr, "features: --out=FILE.csv is required\n");
     return 2;
   }
-  // Corpus: real directory or synthetic.
-  std::vector<traj::Trajectory> corpus;
-  const std::string data = flags.GetString("data", "");
-  if (!data.empty()) {
-    auto loaded = geolife::LoadGeoLifeCorpus(data);
-    if (!loaded.ok()) return Fail(loaded.status(), "GeoLife load");
-    corpus = std::move(loaded).value();
-  } else {
-    synthgeo::GeoLifeLikeGenerator generator(
-        GeneratorOptionsFromFlags(flags));
-    corpus = generator.Generate();
-    std::printf("(no --data; generated a synthetic corpus: %zu points)\n",
-                generator.summary().total_points);
-  }
+  auto corpus = LoadCorpus(flags, GeneratorOptionsFromFlags(flags));
+  if (!corpus.ok()) return Fail(corpus.status(), "GeoLife load");
 
   auto labels = LabelSetFromFlags(flags);
   if (!labels.ok()) return Fail(labels.status(), "label set");
@@ -260,7 +252,7 @@ int RunFeatures(const Flags& flags) {
     options.windows.window_seconds = flags.GetDouble("windows", 180.0);
   }
   const core::Pipeline pipeline(options);
-  auto dataset = pipeline.BuildDataset(corpus, labels.value());
+  auto dataset = pipeline.BuildDataset(corpus.value(), labels.value());
   if (!dataset.ok()) return Fail(dataset.status(), "pipeline");
 
   const Status status = ml::SaveDatasetCsv(dataset.value(), out);
@@ -411,24 +403,43 @@ int RunPredict(const Flags& flags) {
   return 0;
 }
 
-/// Dumps the metric artifacts (--metrics_json / --metrics_prom /
-/// --timeseries_json, no-op for absent flags) through the shared
-/// obs::WriteMetricsArtifacts helper. Returns false on a write failure.
-bool DumpMetrics(const HarnessOptions& harness,
-                 const obs::TimeSeriesStore* timeseries = nullptr) {
-  if (!obs::WriteMetricsArtifacts(harness.MetricsArtifacts(timeseries),
-                                  obs::MetricsRegistry::Global())) {
+/// Prints the bound port of the stack's HTTP server, if it runs. CI polls
+/// this line, so it is flushed past any pipe buffering.
+void PrintHttpPort(const serve::ServingStack& stack) {
+  if (stack.http_port() < 0) return;
+  std::printf("http: listening on 127.0.0.1:%d\n", stack.http_port());
+  std::fflush(stdout);
+}
+
+/// Dumps the metric and trace artifacts (--metrics_json / --metrics_prom /
+/// --timeseries_json / --trace_*, no-op for absent flags), then, with
+/// --http_linger, serves that snapshot until /quitquitquit: a /metrics
+/// scrape during the linger is byte-identical to the --metrics_prom file
+/// (CI's scrape smoke checks). Returns false on a write failure.
+bool DumpArtifactsAndLinger(const HarnessOptions& harness,
+                            serve::ServingStack& stack) {
+  const serve::ServingTelemetry* telemetry = stack.telemetry();
+  if (!obs::WriteMetricsArtifacts(
+          harness.MetricsArtifacts(
+              telemetry != nullptr ? &telemetry->timeseries() : nullptr),
+          obs::MetricsRegistry::Global())) {
     return false;
   }
-  if (!harness.metrics_json.empty()) {
-    std::printf("metrics written to %s\n", harness.metrics_json.c_str());
-  }
-  if (!harness.metrics_prom.empty()) {
-    std::printf("metrics written to %s\n", harness.metrics_prom.c_str());
+  for (const std::string* path :
+       {&harness.metrics_json, &harness.metrics_prom}) {
+    if (!path->empty()) std::printf("metrics written to %s\n", path->c_str());
   }
   if (!harness.timeseries_json.empty()) {
     std::printf("timeseries written to %s\n",
                 harness.timeseries_json.c_str());
+  }
+  if (!harness.DumpTrace()) return false;
+  if (stack.lingers()) {
+    std::printf("http: lingering on 127.0.0.1:%d until /quitquitquit\n",
+                stack.http_port());
+    std::fflush(stdout);
+    stack.WaitForQuit();
+    std::printf("http: quit requested\n");
   }
   return true;
 }
@@ -444,28 +455,18 @@ int RunServeReplay(const Flags& flags) {
   if (!config_or.ok()) return Fail(config_or.status(), "serve flags");
   const serve::ServeConfig& config = config_or.value();
 
-  // Tracing must be armed before the registry activates the model so the
+  // Tracing must be armed before the stack publishes the model so the
   // "registry_swap" landmark lands in the recorder.
   const HarnessOptions harness = HarnessOptions::FromFlags(flags);
   harness.ConfigureTracing();
 
-  // Corpus: real directory or synthetic (same convention as `features`).
-  std::vector<traj::Trajectory> corpus;
-  const std::string data = flags.GetString("data", "");
-  if (!data.empty()) {
-    auto loaded = geolife::LoadGeoLifeCorpus(data);
-    if (!loaded.ok()) return Fail(loaded.status(), "GeoLife load");
-    corpus = std::move(loaded).value();
-  } else {
-    synthgeo::GeneratorOptions generator_options;
-    generator_options.num_users = config.users;
-    generator_options.days_per_user = config.days;
-    generator_options.seed = config.seed;
-    synthgeo::GeoLifeLikeGenerator generator(generator_options);
-    corpus = generator.Generate();
-    std::printf("(no --data; generated a synthetic corpus: %zu points)\n",
-                generator.summary().total_points);
-  }
+  synthgeo::GeneratorOptions generator_options;
+  generator_options.num_users = config.users;
+  generator_options.days_per_user = config.days;
+  generator_options.seed = config.seed;
+  auto corpus_or = LoadCorpus(flags, generator_options);
+  if (!corpus_or.ok()) return Fail(corpus_or.status(), "GeoLife load");
+  const std::vector<traj::Trajectory>& corpus = corpus_or.value();
 
   auto labels = LabelSetFromFlags(flags);
   if (!labels.ok()) return Fail(labels.status(), "label set");
@@ -486,169 +487,49 @@ int RunServeReplay(const Flags& flags) {
     std::printf("serving with a %zu-feature mask from %s\n", subset.size(),
                 subset_path.c_str());
   }
-
-  serve::ModelRegistry registry;
-  {
-    auto model = serve::MakeServingModel(
-        "replay-v1", std::move(forest).value(),
-        traj::kNumTrajectoryFeatures, subset);
-    if (!model.ok()) return Fail(model.status(), "serving model");
-    const Status status = registry.Publish(std::move(model).value());
-    if (!status.ok()) return Fail(status, "registry");
-  }
-
-  serve::ServingPlaneOptions plane_options = config.MakePlaneOptions();
-
-  // Deterministic chaos (--fault_spec): the injector must outlive the
-  // predictor. Chaos runs also get the degradation chain's last rung, a
-  // label prior counted from the replay corpus annotations, so a request
-  // that exhausts its retry budget still resolves with an answer.
-  std::optional<serve::FaultInjector> injector;
-  if (config.fault_spec.has_value()) {
-    injector.emplace(config.fault_spec.value());
-    plane_options.batching.fault_injector = &*injector;
-    std::vector<double> prior(
-        static_cast<size_t>(labels->num_classes()), 0.0);
-    for (const traj::Trajectory& trajectory : corpus) {
-      for (const traj::TrajectoryPoint& point : trajectory.points) {
-        const int cls = labels->ClassOf(point.mode);
-        if (cls >= 0) prior[static_cast<size_t>(cls)] += 1.0;
-      }
-    }
-    plane_options.batching.label_prior = std::move(prior);
-    std::printf("fault injection on: %s\n", config.fault_spec_text.c_str());
-  }
-
-  // --continuous_training: close the loop. The trainer owns the shadow
-  // evaluator every shard's predictor scores into, and the replay drives
-  // its step barriers (see serve/continuous_training.h for why the output
-  // stays byte-identical at any thread/shard count).
-  std::optional<serve::ContinuousTrainer> trainer;
-  serve::ReplayOptions replay_options = config.MakeReplayOptions();
-  if (config.ct.enabled) {
-    trainer.emplace(&registry, labels.value(), config.ct.MakeOptions());
-    plane_options.batching.shadow_evaluator = &trainer->evaluator();
-    replay_options.trainer = &*trainer;
-    std::printf("continuous training on: refit every %zu labeled "
-                "segments, promotion window %zu\n",
-                config.ct.refit_every, config.ct.min_shadow);
-  }
-
-  serve::ServingPlane plane(&registry, plane_options);
+  auto model = serve::MakeServingModel("replay-v1", std::move(forest).value(),
+                                       traj::kNumTrajectoryFeatures, subset);
+  if (!model.ok()) return Fail(model.status(), "serving model");
 
   // --store_out: persist every closed segment (keyed by its resolved
   // prediction; segments never predicted keep their annotated mode) as a
   // trajectory-store segment log the `query` subcommand reads back.
   const std::string store_out = flags.GetString("store_out", "");
-  std::optional<store::TrajectoryStore> trajectory_store;
-  if (!store_out.empty()) {
-    trajectory_store.emplace();
-    replay_options.closed_sink = [&trajectory_store, &labels](
-                                     const serve::ClosedSegment& segment,
-                                     int predicted_class) {
-      const traj::Mode predicted = predicted_class >= 0
-                                       ? labels->ModeOf(predicted_class)
-                                       : segment.mode;
-      trajectory_store->Ingest(store::FromClosedSegment(segment, predicted));
-    };
+  auto stack_or = serve::ServingStack::Build(
+      config, harness, corpus, labels.value(), std::move(model).value(),
+      /*keep_store=*/!store_out.empty());
+  if (!stack_or.ok()) return Fail(stack_or.status(), "serving stack");
+  serve::ServingStack& stack = *stack_or.value();
+  if (config.fault_spec.has_value()) {
+    std::printf("fault injection on: %s\n", config.fault_spec_text.c_str());
   }
-
-  // Telemetry plane (--http_port / --slo_spec / --timeseries_json): a
-  // TimeSeriesStore (and SLO engine over it) ticked at replay barriers —
-  // one tick per --tick_every closed segments, with every in-flight
-  // request drained first, so the sampled series and SLO transitions are
-  // byte-identical at any thread/shard count. The HTTP server exports
-  // the same registry live while the replay runs.
-  std::optional<obs::TimeSeriesStore> timeseries;
-  std::optional<obs::SloEngine> slo;
-  size_t tick_index = 0;
-  if (config.telemetry_enabled() || !harness.timeseries_json.empty()) {
-    obs::TimeSeriesOptions ts_options;
-    ts_options.capacity = config.timeseries_capacity;
-    timeseries.emplace(obs::MetricsRegistry::Global(), ts_options);
-    // Default tracked series: the counters whose values are a pure
-    // function of the corpus (the shard-determinism allowlist), so the
-    // exported series stay byte-comparable across thread/shard counts.
-    // SLO specs add whatever they reference on top.
-    timeseries->TrackCounter("serve.sessions.points_ingested");
-    timeseries->TrackCounter("serve.sessions.segments_emitted");
-    timeseries->TrackCounter("serve.batch_predictor.requests");
-    timeseries->TrackCounter("serve.shed_total.queue_full");
-    timeseries->TrackCounter("serve.shed_total.preempted");
-    timeseries->TrackCounter("serve.deadline_exceeded_total");
-    timeseries->TrackCounter("serve.degraded_total.previous_model");
-    timeseries->TrackCounter("serve.degraded_total.majority_class");
-    if (!config.slo_specs.empty()) {
-      slo.emplace(&*timeseries, &obs::MetricsRegistry::Global(),
-                  config.slo_specs);
-      std::printf("slo engine on: %zu objectives, tick every %zu "
-                  "segments\n",
-                  slo->specs().size(), config.tick_every);
-    }
-    replay_options.tick_every_segments = config.tick_every;
-    replay_options.tick = [&timeseries, &slo, &tick_index] {
-      timeseries->Tick(static_cast<double>(tick_index));
-      if (slo.has_value()) slo->Evaluate(tick_index);
-      ++tick_index;
-    };
+  if (config.ct.enabled) {
+    std::printf("continuous training on: refit every %zu labeled "
+                "segments, promotion window %zu\n",
+                config.ct.refit_every, config.ct.min_shadow);
   }
-
-  std::optional<obs::HttpExportServer> http;
-  std::mutex quit_mu;
-  std::condition_variable quit_cv;
-  bool quit_requested = false;
-  if (config.http_port >= 0) {
-    obs::HttpExportOptions http_options;
-    http_options.port = config.http_port;
-    http_options.registry = &obs::MetricsRegistry::Global();
-    http_options.timeseries =
-        timeseries.has_value() ? &*timeseries : nullptr;
-    http_options.slo = slo.has_value() ? &*slo : nullptr;
-    if (harness.tracing_requested()) {
-      http_options.tracer = &obs::RequestTracer::Global();
-    }
-    http_options.statusz = [&timeseries, &slo] {
-      serve::StatusPageOptions page;
-      page.timeseries = timeseries.has_value() ? &*timeseries : nullptr;
-      page.slo = slo.has_value() ? &*slo : nullptr;
-      return serve::RenderStatusPage(obs::MetricsRegistry::Global(),
-                                     obs::RequestTracer::Global(), page);
-    };
-    if (config.http_linger) {
-      http_options.on_quit = [&quit_mu, &quit_cv, &quit_requested] {
-        std::lock_guard<std::mutex> lock(quit_mu);
-        quit_requested = true;
-        quit_cv.notify_all();
-      };
-    }
-    http.emplace();
-    std::string error;
-    if (!http->Start(std::move(http_options), &error)) {
-      std::fprintf(stderr, "serve-replay: --http_port: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    // CI polls this line for the bound port, so flush past any pipe
-    // buffering.
-    std::printf("http: listening on 127.0.0.1:%d\n", http->port());
-    std::fflush(stdout);
+  const serve::ServingTelemetry* telemetry = stack.telemetry();
+  if (telemetry != nullptr && telemetry->slo() != nullptr) {
+    std::printf("slo engine on: %zu objectives, tick every %zu "
+                "segments\n",
+                telemetry->slo()->specs().size(), config.tick_every);
   }
+  PrintHttpPort(stack);
 
   Stopwatch timer;
-  auto report = serve::ReplayCorpus(corpus, labels.value(), plane,
-                                    replay_options);
+  auto report = stack.Replay();
   if (!report.ok()) return Fail(report.status(), "replay");
   const double total_seconds = timer.ElapsedSeconds();
 
   const serve::BatchPredictor::Counters counters =
-      plane.predictor_counters();
+      stack.plane().predictor_counters();
   std::printf(
       "replayed %zu points in %.2fs (%.0f points/s ingest, %zu shards)\n",
       report->points, total_seconds,
       report->ingest_seconds > 0.0
           ? static_cast<double>(report->points) / report->ingest_seconds
           : 0.0,
-      plane.num_shards());
+      stack.plane().num_shards());
   std::printf(
       "segments: %zu closed, %zu evaluated, %zu outside label set\n",
       report->segments_closed, report->segments_evaluated,
@@ -663,43 +544,33 @@ int RunServeReplay(const Flags& flags) {
   std::printf("online accuracy:  %.4f (%zu/%zu)\n", report->accuracy(),
               report->correct, report->segments_evaluated);
 
-  // Lifecycle accounting: every submitted request must have resolved
-  // exactly one way — evaluated (possibly degraded), shed, or
-  // deadline-exceeded. A leak here means a request was dropped or double
-  // counted, which is a serving bug, so it fails the command.
-  const size_t submitted =
-      report->segments_closed - report->segments_outside_label_set;
-  const size_t accounted = report->segments_evaluated + report->shed +
-                           report->deadline_exceeded;
+  // Lifecycle accounting: Replay() has already failed the command unless
+  // every submitted request resolved exactly one way.
   std::printf(
       "lifecycle: %zu submitted = %zu evaluated (%zu degraded: "
       "previous_model=%zu, majority_class=%zu) + %zu shed "
       "+ %zu deadline-exceeded; %zu retries\n",
-      submitted, report->segments_evaluated, report->degraded,
+      report->segments_closed - report->segments_outside_label_set,
+      report->segments_evaluated, report->degraded,
       report->degraded_previous_model, report->degraded_majority_class,
       report->shed, report->deadline_exceeded, report->retries);
-  if (accounted != submitted) {
-    std::fprintf(stderr,
-                 "serve-replay: request accounting leak (%zu submitted, "
-                 "%zu accounted)\n",
-                 submitted, accounted);
-    return 1;
-  }
 
   // Telemetry summary + SLO transition log: tick positions are corpus
   // positions, so (for SLOs over deterministic counters) every line here
   // is byte-identical at any thread/shard count — the CI telemetry
   // determinism leg diffs the "slo:" lines across t1/t8 x s1/s8.
-  if (timeseries.has_value()) {
+  if (telemetry != nullptr) {
+    const auto& timeseries = telemetry->timeseries();
     std::printf("telemetry: %zu ticks, %zu series (capacity %zu)\n",
-                timeseries->tick_count(), timeseries->series_count(),
-                timeseries->capacity());
+                timeseries.tick_count(), timeseries.series_count(),
+                timeseries.capacity());
   }
-  if (slo.has_value()) {
-    for (const std::string& line : slo->transition_log()) {
+  if (telemetry != nullptr && telemetry->slo() != nullptr) {
+    const auto& slo = *telemetry->slo();
+    for (const std::string& line : slo.transition_log()) {
       std::printf("slo: %s\n", line.c_str());
     }
-    for (const obs::SloState& state : slo->states()) {
+    for (const obs::SloState& state : slo.states()) {
       std::printf("slo: final %s %s burn_fast=%.6g burn_slow=%.6g "
                   "budget_remaining=%.6g transitions=%llu\n",
                   state.name.c_str(), state.breached ? "breach" : "ok",
@@ -711,10 +582,10 @@ int RunServeReplay(const Flags& flags) {
   // Continuous-training summary: every number here is a deterministic
   // function of the corpus (the CI continuous-training matrix diffs this
   // line across thread/shard counts alongside the predictions CSV).
-  if (trainer.has_value()) {
-    const serve::ContinuousTrainer::Stats& training = trainer->stats();
+  if (const auto* trainer = stack.trainer()) {
+    const auto& training = trainer->stats();
     const std::shared_ptr<const serve::ServingModel> active =
-        registry.Acquire().active;
+        stack.registry().Acquire().active;
     std::printf(
         "training: %zu steps, %zu refits (%zu completed, %zu failed), "
         "%zu shadows, %zu promotions, %zu rejections, %zu drift "
@@ -726,7 +597,7 @@ int RunServeReplay(const Flags& flags) {
         active != nullptr ? active->version.c_str() : "?");
   }
 
-  if (trajectory_store.has_value()) {
+  if (store::TrajectoryStore* trajectory_store = stack.store()) {
     const Status status = trajectory_store->SaveTo(store_out);
     if (!status.ok()) return Fail(status, "store save");
     std::printf("store: %zu segments -> %s\n", trajectory_store->size(),
@@ -754,60 +625,42 @@ int RunServeReplay(const Flags& flags) {
 
   // The metrics/trace artifacts reflect the serving replay itself, so
   // dump them before the offline-comparison pipeline adds its own samples.
-  if (!DumpMetrics(harness, timeseries.has_value() ? &*timeseries : nullptr)) {
-    return 1;
-  }
-  if (!harness.DumpTrace()) return 1;
-
-  // --http_linger: keep serving this exact post-replay snapshot until a
-  // scraper hits /quitquitquit. Nothing mutates the registry between the
-  // artifact dump above and here, so a /metrics scrape during the linger
-  // is byte-identical to the --metrics_prom file (the CI scrape-smoke
-  // leg compares them).
-  if (http.has_value() && config.http_linger) {
-    std::printf("http: lingering on 127.0.0.1:%d until /quitquitquit\n",
-                http->port());
-    std::fflush(stdout);
-    std::unique_lock<std::mutex> lock(quit_mu);
-    quit_cv.wait(lock, [&quit_requested] { return quit_requested; });
-    std::printf("http: quit requested\n");
-  }
+  if (!DumpArtifactsAndLinger(harness, stack)) return 1;
 
   // Offline comparison: the batch pipeline on the same corpus with the
   // same segmentation rules, predicted through the same serving model.
   // The max-window rule has no offline counterpart, so skip when set;
   // chaos / deadline / shedding runs are not comparable either (requests
   // may be answered degraded or not at all).
-  if (plane_options.session.max_segment_points > 0) {
+  if (config.max_window > 0) {
     std::printf("(--max_window set: offline comparison skipped — the "
                 "max-window rule has no offline counterpart)\n");
     return 0;
   }
-  if (injector.has_value() || replay_options.deadline_seconds > 0.0 ||
+  if (config.fault_spec.has_value() || config.deadline_seconds > 0.0 ||
       config.max_queue > 0) {
     std::printf("(chaos/deadline/admission flags set: offline comparison "
                 "skipped — online answers are intentionally degraded)\n");
     return 0;
   }
-  if (trainer.has_value()) {
+  if (config.ct.enabled) {
     std::printf("(--continuous_training set: offline comparison skipped — "
                 "the serving model evolves mid-replay)\n");
     return 0;
   }
   core::PipelineOptions pipeline_options;
-  pipeline_options.segmentation.max_gap_seconds =
-      plane_options.session.max_gap_seconds;
+  pipeline_options.segmentation.max_gap_seconds = config.gap_seconds;
   const core::Pipeline pipeline(pipeline_options);
   auto dataset = pipeline.BuildDataset(corpus, labels.value());
   if (!dataset.ok()) return Fail(dataset.status(), "offline pipeline");
-  const std::shared_ptr<const serve::ServingModel> model =
-      registry.Acquire().active;
+  const std::shared_ptr<const serve::ServingModel> active =
+      stack.registry().Acquire().active;
   std::vector<std::vector<double>> rows(dataset->num_samples());
   for (size_t r = 0; r < dataset->num_samples(); ++r) {
     const std::span<const double> row = dataset->features().Row(r);
     rows[r].assign(row.begin(), row.end());
   }
-  auto offline = model->PredictBatch(rows);
+  auto offline = active->PredictBatch(rows);
   if (!offline.ok()) return Fail(offline.status(), "offline predict");
   size_t offline_correct = 0;
   for (size_t r = 0; r < offline->size(); ++r) {
@@ -979,25 +832,13 @@ int RunQuery(const Flags& flags) {
   return 0;
 }
 
-/// `trajkit statusz`: a self-contained serving demo that renders the
-/// text status page. Everything runs in-process on a synthetic corpus —
-/// generate, train a small forest, replay through the serving stack
-/// (chaos + deadlines on by default so every section of the page is
-/// populated), then print serve::RenderStatusPage. Pass --fault_spec=
-/// (empty) for a clean, fault-free page.
+/// `trajkit statusz`: generate, train, replay through the serving stack
+/// with StatuszDefaults() and print its status page, all in-process.
 int RunStatusz(const Flags& flags) {
   // The flight recorder is always on for statusz — the page's "retained
   // traces" section is the point — honoring --trace_sample/--trace_buffer.
   const HarnessOptions harness = HarnessOptions::FromFlags(flags);
-  {
-    obs::RequestTracerOptions tracer_options;
-    tracer_options.enabled = true;
-    tracer_options.sample_every =
-        harness.trace_sample == 0 ? 1 : harness.trace_sample;
-    tracer_options.buffer_capacity =
-        harness.trace_buffer == 0 ? 8192 : harness.trace_buffer;
-    obs::RequestTracer::Global().Configure(tracer_options);
-  }
+  harness.ConfigureTracing(/*always=*/true);
 
   auto config_or = serve::ParseServeFlags(flags, serve::StatuszDefaults());
   if (!config_or.ok()) return Fail(config_or.status(), "serve flags");
@@ -1023,118 +864,28 @@ int RunStatusz(const Flags& flags) {
   ml::RandomForest forest(params);
   const Status fit = forest.Fit(dataset.value());
   if (!fit.ok()) return Fail(fit, "training");
+  auto model = serve::MakeServingModel("statusz-v1", std::move(forest),
+                                       traj::kNumTrajectoryFeatures, {});
+  if (!model.ok()) return Fail(model.status(), "serving model");
 
-  serve::ModelRegistry registry;
-  {
-    auto model = serve::MakeServingModel("statusz-v1", std::move(forest),
-                                         traj::kNumTrajectoryFeatures, {});
-    if (!model.ok()) return Fail(model.status(), "serving model");
-    const Status status = registry.Publish(std::move(model).value());
-    if (!status.ok()) return Fail(status, "registry");
-  }
-
-  // Chaos defaults on (StatuszDefaults) so the faults / degraded /
-  // retained-traces sections show live numbers; --fault_spec= (empty
-  // value) turns it off. Two shards by default so the per-shard section
-  // renders with real numbers.
-  serve::ServingPlaneOptions plane_options = config.MakePlaneOptions();
-  std::optional<serve::FaultInjector> injector;
-  if (config.fault_spec.has_value()) {
-    injector.emplace(config.fault_spec.value());
-    plane_options.batching.fault_injector = &*injector;
-    std::vector<double> prior(
-        static_cast<size_t>(labels->num_classes()), 0.0);
-    for (const traj::Trajectory& trajectory : corpus) {
-      for (const traj::TrajectoryPoint& point : trajectory.points) {
-        const int cls = labels->ClassOf(point.mode);
-        if (cls >= 0) prior[static_cast<size_t>(cls)] += 1.0;
-      }
-    }
-    plane_options.batching.label_prior = std::move(prior);
-  }
-
-  serve::ReplayOptions replay_options = config.MakeReplayOptions();
-
-  // --continuous_training: run the refit/shadow/promotion loop during the
-  // demo replay so the page's shadow + registry-audit sections render
-  // live numbers.
-  std::optional<serve::ContinuousTrainer> trainer;
-  if (config.ct.enabled) {
-    trainer.emplace(&registry, labels.value(), config.ct.MakeOptions());
-    plane_options.batching.shadow_evaluator = &trainer->evaluator();
-    replay_options.trainer = &*trainer;
-  }
-
-  // The statusz demo always arms the telemetry plane so the page's slo +
-  // timeseries sections render live sparklines: --slo_spec overrides the
-  // built-in demo objectives (a p99 latency ceiling and a shed-rate
-  // ceiling).
-  obs::TimeSeriesOptions ts_options;
-  ts_options.capacity = config.timeseries_capacity;
-  obs::TimeSeriesStore timeseries(obs::MetricsRegistry::Global(),
-                                  ts_options);
-  timeseries.TrackCounter("serve.sessions.points_ingested");
-  timeseries.TrackCounter("serve.sessions.segments_emitted");
-  timeseries.TrackCounter("serve.batch_predictor.requests");
-  timeseries.TrackGauge("serve.sessions.active");
-  timeseries.TrackHistogram("serve.batch_predictor.latency_seconds");
-  std::vector<obs::SloSpec> slo_specs = config.slo_specs;
-  if (slo_specs.empty()) {
-    std::string error;
-    const bool parsed = obs::ParseSloSpecs(
-        "latency_p99:type=latency,"
-        "metric=serve.batch_predictor.latency_seconds,ceiling_ms=50,"
-        "budget=0.05,fast=4,slow=16;"
-        "shed:type=ratio,bad=serve.shed_total.queue_full+"
-        "serve.shed_total.preempted,total=serve.batch_predictor.requests,"
-        "budget=0.02,fast=4,slow=16",
-        &slo_specs, &error);
-    if (!parsed) {
-      std::fprintf(stderr, "statusz: built-in slo spec: %s\n",
-                   error.c_str());
-      return 1;
-    }
-  }
-  obs::SloEngine slo(&timeseries, &obs::MetricsRegistry::Global(),
-                     std::move(slo_specs));
-  size_t tick_index = 0;
-  replay_options.tick_every_segments = config.tick_every;
-  replay_options.tick = [&timeseries, &slo, &tick_index] {
-    timeseries.Tick(static_cast<double>(tick_index));
-    slo.Evaluate(tick_index);
-    ++tick_index;
-  };
-
-  serve::ServingPlane plane(&registry, plane_options);
-  // Feed a trajectory store from the replay so the page's store section
-  // renders live numbers, and touch each query path once.
-  store::TrajectoryStore trajectory_store;
-  replay_options.closed_sink = [&trajectory_store, &labels](
-                                   const serve::ClosedSegment& segment,
-                                   int predicted_class) {
-    const traj::Mode predicted = predicted_class >= 0
-                                     ? labels->ModeOf(predicted_class)
-                                     : segment.mode;
-    trajectory_store.Ingest(store::FromClosedSegment(segment, predicted));
-  };
-  auto report = serve::ReplayCorpus(corpus, labels.value(), plane,
-                                    replay_options);
+  // The demo keeps a trajectory store so the page's store section renders
+  // live numbers, and touches each query path once.
+  auto stack_or = serve::ServingStack::Build(
+      config, harness, corpus, labels.value(), std::move(model).value(),
+      /*keep_store=*/true);
+  if (!stack_or.ok()) return Fail(stack_or.status(), "serving stack");
+  serve::ServingStack& stack = *stack_or.value();
+  PrintHttpPort(stack);
+  auto report = stack.Replay();
   if (!report.ok()) return Fail(report.status(), "replay");
   geo::BoundingBox everywhere;
   everywhere.Extend(geo::LatLon{-90.0, -180.0});
   everywhere.Extend(geo::LatLon{90.0, 180.0});
-  (void)trajectory_store.QueryBBox(everywhere);
-  (void)trajectory_store.TopKHotspots(/*cell_deg=*/0.01, /*k=*/5);
+  (void)stack.store()->QueryBBox(everywhere);
+  (void)stack.store()->TopKHotspots(/*cell_deg=*/0.01, /*k=*/5);
 
-  serve::StatusPageOptions page;
-  page.timeseries = &timeseries;
-  page.slo = &slo;
-  std::printf("%s", serve::RenderStatusPage(
-                        obs::MetricsRegistry::Global(),
-                        obs::RequestTracer::Global(), page)
-                        .c_str());
-  if (!DumpMetrics(harness, &timeseries)) return 1;
-  if (!harness.DumpTrace()) return 1;
+  std::printf("%s", stack.StatusPage().c_str());
+  if (!DumpArtifactsAndLinger(harness, stack)) return 1;
   return 0;
 }
 
