@@ -25,13 +25,16 @@ Status AdaBoost::Fit(const Dataset& train) {
   const double k = static_cast<double>(num_classes_);
   std::vector<double> weights(n, 1.0 / static_cast<double>(n));
   Rng rng(params_.seed);
+  // The rounds reweight the same rows, so they share one rank table.
+  TRAJKIT_ASSIGN_OR_RETURN(const ColumnRanks ranks,
+                           ColumnRanks::Build(train.features()));
 
   for (int round = 0; round < params_.n_estimators; ++round) {
     DecisionTreeParams tree_params;
     tree_params.max_depth = params_.base_max_depth;
     tree_params.seed = rng.NextUint64();
     DecisionTree tree(tree_params);
-    TRAJKIT_RETURN_IF_ERROR(tree.FitWeighted(train, weights));
+    TRAJKIT_RETURN_IF_ERROR(tree.FitWeighted(train, weights, ranks));
 
     const std::vector<int> pred = tree.Predict(train.features());
     double err = 0.0;

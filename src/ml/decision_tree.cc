@@ -1,10 +1,13 @@
 #include "ml/decision_tree.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/check.h"
+#include "common/strings.h"
 
 namespace trajkit::ml {
 
@@ -30,7 +33,106 @@ double ImpurityFromCounts(const std::vector<double>& counts, double total,
   return entropy;
 }
 
+// A node's split search sorts (rank << 32 | row) keys: the rank orders,
+// the row finds the label, weight and original value.
+uint32_t RankOf(uint64_t key) { return static_cast<uint32_t>(key >> 32); }
+uint32_t RowOf(uint64_t key) { return static_cast<uint32_t>(key); }
+
+// Integer weights summing below 2^53 add exactly in any order.
+constexpr double kExactIntegerSum = 9007199254740992.0;
+
 }  // namespace
+
+Result<ColumnRanks> ColumnRanks::Build(const Matrix& x) {
+  if (x.rows() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(StrPrintf(
+        "%zu training rows exceed the split search's 32-bit row index",
+        x.rows()));
+  }
+  ColumnRanks table;
+  table.rows_ = x.rows();
+  table.cols_ = x.cols();
+  table.ranks_.resize(x.rows() * x.cols());
+  std::vector<double> values(x.rows());
+  std::vector<uint32_t> order(x.rows());
+  for (size_t c = 0; c < x.cols(); ++c) {
+    for (size_t r = 0; r < x.rows(); ++r) {
+      values[r] = x(r, c);
+      if (!std::isfinite(values[r])) {
+        return Status::InvalidArgument(StrPrintf(
+            "non-finite feature value %g at row %zu, column %zu", values[r],
+            r, c));
+      }
+    }
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return values[a] < values[b];
+    });
+    uint32_t* column = table.ranks_.data() + c * x.rows();
+    uint32_t rank = 0;
+    for (size_t i = 0; i < order.size(); ++i) {
+      if (i > 0 && values[order[i]] != values[order[i - 1]]) ++rank;
+      column[order[i]] = rank;
+    }
+  }
+  return table;
+}
+
+/// What every node of one fit reads.
+struct DecisionTree::FitInputs {
+  const Matrix& x;
+  const ColumnRanks& ranks;
+  const std::vector<int>& y;
+  const std::vector<double>& w;
+  /// Every weight is an integer and their total is below 2^53, so every
+  /// split-search sum is exact whatever the order of rows within a tie.
+  bool integer_weights;
+};
+
+/// Per-fit scratch buffers shared by every BuildNode call: a node fully
+/// re-fills each buffer it uses before recursing, so reusing them across
+/// nodes (and letting children overwrite them) is safe and removes the
+/// per-node allocation churn. `keys` and `radix` hold one slot per
+/// training row; the radix passes swap them.
+struct DecisionTree::BuildScratch {
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> radix;
+  std::vector<double> counts;
+  std::vector<double> left_counts;
+  std::vector<int> candidates;
+
+  /// Sorts keys[0, n) by rank with stable LSD passes of 8 bits over
+  /// rank - lo (at most `span`), skipping a pass whose digit is the same
+  /// for every key. The order within a tie is the gather order.
+  void RadixSortByRank(size_t n, uint32_t lo, uint32_t span) {
+    int passes = 0;
+    for (uint32_t rest = span; rest != 0; rest >>= 8) ++passes;
+    std::array<std::array<uint32_t, 256>, 4> histograms;
+    for (int p = 0; p < passes; ++p) histograms[p].fill(0);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t digits = RankOf(keys[i]) - lo;
+      for (int p = 0; p < passes; ++p) {
+        ++histograms[p][(digits >> (8 * p)) & 0xFF];
+      }
+    }
+    for (int p = 0; p < passes; ++p) {
+      const int shift = 8 * p;
+      std::array<uint32_t, 256>& offsets = histograms[p];
+      if (offsets[((RankOf(keys[0]) - lo) >> shift) & 0xFF] == n) continue;
+      uint32_t next = 0;
+      for (uint32_t& slot : offsets) {
+        const uint32_t count = slot;
+        slot = next;
+        next += count;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t key = keys[i];
+        radix[offsets[((RankOf(key) - lo) >> shift) & 0xFF]++] = key;
+      }
+      keys.swap(radix);
+    }
+  }
+};
 
 DecisionTree::DecisionTree(DecisionTreeParams params)
     : params_(params) {}
@@ -41,11 +143,23 @@ Status DecisionTree::Fit(const Dataset& train) {
 
 Status DecisionTree::FitWeighted(const Dataset& train,
                                  std::span<const double> weights) {
+  TRAJKIT_ASSIGN_OR_RETURN(const ColumnRanks ranks,
+                           ColumnRanks::Build(train.features()));
+  return FitWeighted(train, weights, ranks);
+}
+
+Status DecisionTree::FitWeighted(const Dataset& train,
+                                 std::span<const double> weights,
+                                 const ColumnRanks& ranks) {
   if (train.num_samples() == 0) {
     return Status::InvalidArgument("cannot fit a tree on an empty dataset");
   }
   if (!weights.empty() && weights.size() != train.num_samples()) {
     return Status::InvalidArgument("weights size != sample count");
+  }
+  if (ranks.rows() != train.num_samples() ||
+      ranks.cols() != train.num_features()) {
+    return Status::InvalidArgument("rank table shape != training matrix");
   }
   std::vector<double> w(train.num_samples(), 1.0);
   if (params_.balanced_class_weights) {
@@ -68,12 +182,23 @@ Status DecisionTree::FitWeighted(const Dataset& train,
         return Status::InvalidArgument("negative sample weight");
       }
       w[i] *= weights[i];
+      if (!std::isfinite(w[i])) {
+        return Status::InvalidArgument(
+            StrPrintf("non-finite sample weight at row %zu", i));
+      }
       total += weights[i];
     }
     if (total <= 0.0) {
       return Status::InvalidArgument("all sample weights are zero");
     }
   }
+  bool integer_weights = true;
+  double weight_total = 0.0;
+  for (const double v : w) {
+    integer_weights = integer_weights && std::floor(v) == v;
+    weight_total += v;
+  }
+  integer_weights = integer_weights && weight_total < kExactIntegerSum;
 
   num_classes_ = train.num_classes();
   nodes_.clear();
@@ -85,12 +210,14 @@ Status DecisionTree::FitWeighted(const Dataset& train,
   std::iota(indices.begin(), indices.end(), 0u);
   Rng rng(params_.seed);
   BuildScratch scratch;
-  scratch.samples.reserve(train.num_samples());
+  scratch.keys.resize(train.num_samples());
+  scratch.radix.resize(train.num_samples());
   scratch.counts.reserve(static_cast<size_t>(num_classes_));
   scratch.left_counts.reserve(static_cast<size_t>(num_classes_));
   scratch.candidates.reserve(train.num_features());
-  BuildNode(train.features(), train.labels(), w, indices, 0, indices.size(),
-            0, rng, scratch);
+  const FitInputs in{train.features(), ranks, train.labels(), w,
+                     integer_weights};
+  BuildNode(in, indices, 0, indices.size(), 0, rng, scratch);
 
   // Normalize importances to sum 1 (when any split happened).
   const double total_importance =
@@ -101,15 +228,15 @@ Status DecisionTree::FitWeighted(const Dataset& train,
   return Status::Ok();
 }
 
-int DecisionTree::BuildNode(const Matrix& x, const std::vector<int>& y,
-                            const std::vector<double>& w,
-                            std::vector<size_t>& indices, size_t begin,
-                            size_t end, int depth, Rng& rng,
+int DecisionTree::BuildNode(const FitInputs& in, std::vector<size_t>& indices,
+                            size_t begin, size_t end, int depth, Rng& rng,
                             BuildScratch& scratch) {
   TRAJKIT_CHECK_LT(begin, end);
   depth_ = std::max(depth_, depth);
   const size_t n = end - begin;
   const size_t k = static_cast<size_t>(num_classes_);
+  const std::vector<int>& y = in.y;
+  const std::vector<double>& w = in.w;
 
   std::vector<double>& counts = scratch.counts;
   counts.assign(k, 0.0);
@@ -142,7 +269,7 @@ int DecisionTree::BuildNode(const Matrix& x, const std::vector<int>& y,
   }
 
   // Candidate features: all, or a random subset of max_features.
-  const int num_features = static_cast<int>(x.cols());
+  const int num_features = static_cast<int>(in.x.cols());
   std::vector<int>& candidates = scratch.candidates;
   candidates.resize(static_cast<size_t>(num_features));
   std::iota(candidates.begin(), candidates.end(), 0);
@@ -166,37 +293,64 @@ int DecisionTree::BuildNode(const Matrix& x, const std::vector<int>& y,
   };
   SplitChoice best;
 
-  // Scratch: (value, weight, label) triplets sorted per candidate feature.
-  using Sample = BuildScratch::Sample;
-  std::vector<Sample>& samples = scratch.samples;
-  samples.resize(n);
   std::vector<double>& left_counts = scratch.left_counts;
   left_counts.resize(k);
 
   for (int ci = 0; ci < num_candidates; ++ci) {
     const int f = candidates[static_cast<size_t>(ci)];
+    const size_t column_index = static_cast<size_t>(f);
+    // The node's indices are ascending (the root's are, and stable
+    // partitions keep them so), so this gather walks the column forward.
+    const uint32_t* column = in.ranks.Column(column_index).data();
+    uint64_t* gathered = scratch.keys.data();
+    uint32_t lo = std::numeric_limits<uint32_t>::max();
+    uint32_t hi = 0;
     for (size_t i = 0; i < n; ++i) {
       const size_t row = indices[begin + i];
-      samples[i] = {x(row, static_cast<size_t>(f)), w[row], y[row]};
+      const uint32_t rank = column[row];
+      gathered[i] = (static_cast<uint64_t>(rank) << 32) | row;
+      lo = std::min(lo, rank);
+      hi = std::max(hi, rank);
     }
-    std::sort(samples.begin(), samples.end(),
-              [](const Sample& a, const Sample& b) {
-                return a.value < b.value;
-              });
-    if (samples.front().value == samples.back().value) continue;
+    if (lo == hi) continue;  // Constant within this node.
+    if (in.integer_weights) {
+      // Exact integer sums make the order within a tie irrelevant.
+      scratch.RadixSortByRank(n, lo, hi - lo);
+    } else {
+      // std::sort's permutation depends only on comparison outcomes, and
+      // rank order is value order: this is the permutation a sort by
+      // value gives, so non-integer sums accumulate in the same order.
+      std::sort(gathered, gathered + n, [](uint64_t a, uint64_t b) {
+        return RankOf(a) < RankOf(b);
+      });
+    }
+    const uint64_t* sorted = scratch.keys.data();
 
     std::fill(left_counts.begin(), left_counts.end(), 0.0);
     double left_weight = 0.0;
+    // Whether non-zero weight joined the left side since the last
+    // evaluated boundary. If none did, the sums, and so the decrease, are
+    // bit for bit those of that boundary, which the strict `>` below
+    // already took or refused. Zero-weight rows still count toward
+    // left_n and still place thresholds.
+    bool moved = true;
     for (size_t i = 0; i + 1 < n; ++i) {
-      left_counts[static_cast<size_t>(samples[i].label)] += samples[i].weight;
-      left_weight += samples[i].weight;
-      if (samples[i].value == samples[i + 1].value) continue;
+      const size_t row = RowOf(sorted[i]);
+      const double weight = w[row];
+      if (weight != 0.0) {
+        left_counts[static_cast<size_t>(y[row])] += weight;
+        left_weight += weight;
+        moved = true;
+      }
+      if (RankOf(sorted[i]) == RankOf(sorted[i + 1])) continue;
       const size_t left_n = i + 1;
       const size_t right_n = n - left_n;
       if (left_n < static_cast<size_t>(params_.min_samples_leaf) ||
           right_n < static_cast<size_t>(params_.min_samples_leaf)) {
         continue;
       }
+      if (!moved) continue;
+      moved = false;
       const double right_weight = total_weight - left_weight;
       double left_impurity =
           ImpurityFromCounts(left_counts, left_weight, params_.criterion);
@@ -227,7 +381,8 @@ int DecisionTree::BuildNode(const Matrix& x, const std::vector<int>& y,
       const double decrease = node_impurity - children_impurity;
       if (decrease > best.impurity_decrease) {
         best.feature = f;
-        best.threshold = 0.5 * (samples[i].value + samples[i + 1].value);
+        best.threshold = 0.5 * (in.x(row, column_index) +
+                                in.x(RowOf(sorted[i + 1]), column_index));
         best.impurity_decrease = decrease;
       }
     }
@@ -239,34 +394,28 @@ int DecisionTree::BuildNode(const Matrix& x, const std::vector<int>& y,
   }
 
   // Partition indices[begin, end) by the chosen split (stable partition so
-  // builds are deterministic).
-  std::stable_partition(
+  // builds are deterministic and children keep ascending indices).
+  const size_t split_column = static_cast<size_t>(best.feature);
+  const auto split = std::stable_partition(
       indices.begin() + static_cast<long>(begin),
       indices.begin() + static_cast<long>(end), [&](size_t row) {
-        return x(row, static_cast<size_t>(best.feature)) <= best.threshold;
+        return in.x(row, split_column) <= best.threshold;
       });
-  size_t mid = begin;
-  while (mid < end &&
-         x(indices[mid], static_cast<size_t>(best.feature)) <=
-             best.threshold) {
-    ++mid;
-  }
+  const size_t mid = static_cast<size_t>(split - indices.begin());
   TRAJKIT_CHECK(mid > begin && mid < end)
       << "degenerate split on feature" << best.feature;
 
   // Importance: weighted impurity decrease, weighted by node share.
-  importances_[static_cast<size_t>(best.feature)] +=
-      total_weight * best.impurity_decrease;
+  importances_[split_column] += total_weight * best.impurity_decrease;
 
   const int node_index = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
   nodes_[static_cast<size_t>(node_index)].feature = best.feature;
   nodes_[static_cast<size_t>(node_index)].threshold = best.threshold;
   const int left =
-      BuildNode(x, y, w, indices, begin, mid, depth + 1, rng, scratch);
+      BuildNode(in, indices, begin, mid, depth + 1, rng, scratch);
   nodes_[static_cast<size_t>(node_index)].left = left;
-  const int right =
-      BuildNode(x, y, w, indices, mid, end, depth + 1, rng, scratch);
+  const int right = BuildNode(in, indices, mid, end, depth + 1, rng, scratch);
   nodes_[static_cast<size_t>(node_index)].right = right;
   return node_index;
 }

@@ -1,6 +1,7 @@
 #ifndef TRAJKIT_ML_DECISION_TREE_H_
 #define TRAJKIT_ML_DECISION_TREE_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -10,6 +11,31 @@
 #include "ml/classifier.h"
 
 namespace trajkit::ml {
+
+/// Column-major dense ranks of a training matrix: Column(c)[r] is the
+/// position of x(r, c) among column c's distinct values, so rank order is
+/// value order and equal doubles (-0.0 and 0.0 included) share a rank.
+/// A bootstrap or a boosting round changes sample weights, never values,
+/// so an ensemble builds this once and every tree's split search sorts a
+/// node's rows by integer rank instead of by double.
+class ColumnRanks {
+ public:
+  /// Sorts each column once. InvalidArgument on a NaN or infinite value
+  /// (no split search is defined over them) and on a row count that does
+  /// not fit the split search's 32-bit (rank, row) packing.
+  static Result<ColumnRanks> Build(const Matrix& x);
+
+  size_t rows() const { return rows_; }
+  size_t cols() const { return cols_; }
+  std::span<const uint32_t> Column(size_t c) const {
+    return {ranks_.data() + c * rows_, rows_};
+  }
+
+ private:
+  size_t rows_ = 0;
+  size_t cols_ = 0;
+  std::vector<uint32_t> ranks_;
+};
 
 /// Hyper-parameters of the CART classification tree.
 struct DecisionTreeParams {
@@ -42,9 +68,16 @@ class DecisionTree final : public Classifier {
 
   Status Fit(const Dataset& train) override;
 
-  /// Weighted fit; `weights` must be per-sample, non-negative, with at
-  /// least one positive entry. Empty span = uniform.
+  /// Weighted fit; `weights` must be per-sample, finite, non-negative,
+  /// with at least one positive entry. Empty span = uniform. Non-finite
+  /// feature values are rejected with InvalidArgument.
   Status FitWeighted(const Dataset& train, std::span<const double> weights);
+
+  /// Same, over a rank table the caller built from `train.features()` and
+  /// shares across the fits of one ensemble (read-only, so concurrent
+  /// fits may share it).
+  Status FitWeighted(const Dataset& train, std::span<const double> weights,
+                     const ColumnRanks& ranks);
 
   std::vector<int> Predict(const Matrix& features) const override;
   Result<Matrix> PredictProba(const Matrix& features) const override;
@@ -93,25 +126,10 @@ class DecisionTree final : public Classifier {
   }
 
  private:
+  struct FitInputs;
+  struct BuildScratch;
 
-  /// Per-fit scratch buffers shared by every BuildNode call: a node fully
-  /// re-fills each buffer it uses before recursing, so reusing them across
-  /// nodes (and letting children overwrite them) is safe and removes the
-  /// per-node allocation churn.
-  struct BuildScratch {
-    struct Sample {
-      double value;
-      double weight;
-      int label;
-    };
-    std::vector<Sample> samples;
-    std::vector<double> counts;
-    std::vector<double> left_counts;
-    std::vector<int> candidates;
-  };
-
-  int BuildNode(const Matrix& x, const std::vector<int>& y,
-                const std::vector<double>& w, std::vector<size_t>& indices,
+  int BuildNode(const FitInputs& in, std::vector<size_t>& indices,
                 size_t begin, size_t end, int depth, Rng& rng,
                 BuildScratch& scratch);
   size_t FindLeaf(std::span<const double> row) const;

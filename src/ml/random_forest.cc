@@ -53,6 +53,10 @@ Status RandomForest::Fit(const Dataset& train) {
   trees_.clear();
   flat_.reset();  // A refit invalidates any compiled inference form.
   importances_.assign(train.num_features(), 0.0);
+  // One rank table serves every tree: a bootstrap reweights rows but
+  // never changes a value. The trees only read it.
+  TRAJKIT_ASSIGN_OR_RETURN(const ColumnRanks ranks,
+                           ColumnRanks::Build(train.features()));
 
   int max_features = params_.max_features;
   if (max_features <= 0) {
@@ -94,9 +98,7 @@ Status RandomForest::Fit(const Dataset& train) {
 
   std::vector<Status> tree_status(num_trees);
   TRAJKIT_RETURN_IF_ERROR(ParallelFor(0, num_trees, 1, [&](size_t t) {
-    tree_status[t] = params_.bootstrap
-                         ? trees[t].FitWeighted(train, bootstrap_weights[t])
-                         : trees[t].Fit(train);
+    tree_status[t] = trees[t].FitWeighted(train, bootstrap_weights[t], ranks);
   }));
   for (const Status& status : tree_status) {
     TRAJKIT_RETURN_IF_ERROR(status);

@@ -56,6 +56,15 @@ ContinuousTrainer::~ContinuousTrainer() {
 void ContinuousTrainer::ObserveSegment(const ClosedSegment& segment,
                                        int true_class) {
   if (true_class < 0 || true_class >= labels_.num_classes()) return;
+  // Every forest fit rejects a NaN or inf feature, so one buffered bad
+  // example would fail every refit until it aged out of the buffer.
+  for (const double value : segment.features) {
+    if (!std::isfinite(value)) {
+      ++stats_.nonfinite_dropped;
+      CtCounter("serve.ct.nonfinite_dropped").Increment();
+      return;
+    }
+  }
   LabeledExample example;
   example.features = segment.features;
   example.label = true_class;

@@ -107,7 +107,8 @@ class ContinuousTrainer {
 
   /// A labeled closed segment entering the serving plane (`true_class`
   /// from the replay corpus's label set). Buffers the example and feeds
-  /// the drift baseline.
+  /// the drift baseline; a segment with a NaN or inf feature is dropped
+  /// and counted in `nonfinite_dropped` instead.
   void ObserveSegment(const ClosedSegment& segment, int true_class);
 
   /// A gathered, successfully answered request: forwards the labeled
@@ -137,6 +138,7 @@ class ContinuousTrainer {
     size_t promotions = 0;
     size_t rejections = 0;
     size_t drift_triggers = 0;
+    size_t nonfinite_dropped = 0;
   };
   const Stats& stats() const { return stats_; }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -211,6 +212,41 @@ TEST(ParallelDeterminismTest, RandomForestFitPredictImportances) {
   EXPECT_EQ(std::get<0>(serial), std::get<0>(parallel));
   EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel));
   EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel));
+}
+
+// Every tree of a forest reads one shared rank table while fitting on
+// its own thread, radix-sorting 800 rows with quantized (tied) columns
+// under bootstrap weights; the forest must not depend on the thread
+// count.
+TEST(ParallelDeterminismTest, SharedRankTableForestIsThreadIndependent) {
+  Rng rng(23);
+  std::vector<std::vector<double>> rows;
+  std::vector<int> labels;
+  for (int i = 0; i < 800; ++i) {
+    const int c = static_cast<int>(rng.NextBounded(3));
+    std::vector<double> row(9);
+    for (size_t f = 0; f < row.size(); ++f) {
+      const double v = rng.Gaussian(f % 3 == 0 ? 0.6 * c : 0.0, 1.0);
+      row[f] = f % 2 == 0 ? std::round(v * 4.0) / 4.0 : v;
+    }
+    rows.push_back(std::move(row));
+    labels.push_back(c);
+  }
+  const ml::Dataset data =
+      std::move(ml::Dataset::Create(ml::Matrix::FromRows(rows),
+                                    std::move(labels), {}, {},
+                                    {"c0", "c1", "c2"}))
+          .value();
+  auto run = [&] {
+    ml::RandomForestParams params;
+    params.n_estimators = 16;
+    params.seed = 5;
+    ml::RandomForest forest(params);
+    EXPECT_TRUE(forest.Fit(data).ok());
+    return forest.Serialize();
+  };
+  const auto [serial, parallel] = UnderBothThreadCounts(run);
+  EXPECT_EQ(serial, parallel);
 }
 
 TEST(ParallelDeterminismTest, PredictProbaMatchesExactly) {

@@ -3,7 +3,8 @@
 // serve_config.h): the publish/promote/retire lifecycle with its audit
 // trail, lease coherence under concurrent promotions, shadow promotion
 // under concurrent sharded predict (both rerun under TSan by CI),
-// failed-candidate rejection, drift-forced refits, byte-identical CT
+// failed-candidate rejection, a refit failed by a NaN example,
+// drift-forced refits, byte-identical CT
 // replay across thread/shard counts, ParseServeFlags validation, and
 // FlatForestScratch reuse.
 
@@ -11,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,6 +30,7 @@
 #include "ml/flat_forest.h"
 #include "ml/matrix.h"
 #include "ml/random_forest.h"
+#include "obs/metrics.h"
 #include "serve/batch_predictor.h"
 #include "serve/continuous_training.h"
 #include "serve/model_registry.h"
@@ -440,6 +443,60 @@ TEST(ContinuousTrainerTest, DriftTriggerForcesEarlyRefit) {
   ASSERT_TRUE(trainer.Step().ok());
   EXPECT_EQ(trainer.stats().drift_triggers, 1u);
   EXPECT_EQ(trainer.stats().refits_launched, 1u);
+}
+
+// A segment with a NaN or inf feature never reaches the refit buffer
+// (every forest fit rejects non-finite input): it is counted as dropped,
+// and the refit over the finite examples lands as a shadow.
+TEST(ContinuousTrainerTest, NonFiniteSegmentIsDroppedAndRefitsKeepLearning) {
+  const CtFixture& fixture = CtFixture::Get();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(CloneAs("v1")).ok());
+
+  ContinuousTrainingOptions options;
+  options.step_every = 4;
+  options.refit_every = 4;
+  options.min_fit_samples = 4;
+  options.forest.n_estimators = 3;
+  options.drift.enabled = false;
+  ContinuousTrainer trainer(&registry, fixture.labels, options);
+  obs::Counter& dropped =
+      obs::MetricsRegistry::Global().GetCounter("serve.ct.nonfinite_dropped");
+  obs::Counter& failures =
+      obs::MetricsRegistry::Global().GetCounter("serve.ct.fit_failures");
+  const uint64_t dropped_before = dropped.value();
+  const uint64_t failures_before = failures.value();
+
+  // Rows 0..7 of the fixture, with a NaN in row 2 and an inf in row 5.
+  for (size_t i = 0; i < 8; ++i) {
+    const auto row = fixture.dataset.features().Row(i);
+    std::vector<double> features(row.begin(), row.end());
+    if (i == 2) features[5] = std::numeric_limits<double>::quiet_NaN();
+    if (i == 5) features[0] = -std::numeric_limits<double>::infinity();
+    trainer.ObserveSegment(SegmentWithFeatures(std::move(features)),
+                           static_cast<int>(i % 2));
+    if (i == 4) {
+      // Four finite examples buffered: the first refit launches.
+      ASSERT_TRUE(trainer.StepDue());
+      ASSERT_TRUE(trainer.Step().ok());
+      ASSERT_EQ(trainer.stats().refits_launched, 1u);
+    }
+  }
+  ASSERT_TRUE(trainer.Step().ok());
+
+  EXPECT_EQ(trainer.stats().nonfinite_dropped, 2u);
+  EXPECT_EQ(dropped.value(), dropped_before + 2);
+  EXPECT_EQ(trainer.stats().segments_observed, 6u);
+  EXPECT_EQ(trainer.stats().refits_completed, 1u);
+  EXPECT_EQ(trainer.stats().fit_failures, 0u);
+  EXPECT_EQ(failures.value(), failures_before);
+  EXPECT_EQ(trainer.stats().shadows_installed, 1u);
+  const ModelLease lease = registry.Acquire();
+  ASSERT_NE(lease.active, nullptr);
+  EXPECT_EQ(lease.active->version, "v1");
+  ASSERT_NE(lease.shadow, nullptr);
+  ASSERT_TRUE(trainer.Finish().ok());
+  EXPECT_EQ(trainer.stats().fit_failures, 0u);
 }
 
 // ----------------------------------------------- CT replay determinism --
