@@ -1,7 +1,5 @@
 #include "core/pipeline.h"
 
-#include <optional>
-
 #include "common/parallel.h"
 #include "obs/trace.h"
 #include "traj/point_features.h"
@@ -13,18 +11,18 @@ Pipeline::Pipeline(PipelineOptions options) : options_(options) {}
 Result<ml::Dataset> Pipeline::BuildDataset(
     const std::vector<traj::Trajectory>& corpus,
     const LabelSet& labels) const {
-  // Stage spans nest under "pipeline": segmentation here, then the
-  // noise/extract/assemble stages inside BuildDatasetFromSegments — the
-  // whole 8-step run exports as the span/pipeline/* histogram family.
-  obs::TraceSpan span("pipeline");
+  // Stage timers share the "span/pipeline" prefix: segmentation here, then
+  // the noise/extract/assemble stages in BuildFromSegments — the whole
+  // 8-step run exports as the span/pipeline/* histogram family.
+  obs::ScopedTimer timer("span/pipeline");
   std::vector<traj::Segment> segments;
   {
-    obs::TraceSpan segment_span("segment");
+    obs::ScopedTimer segment_timer("span/pipeline/segment");
     segments = options_.strategy == SegmentationStrategy::kUserDayMode
                    ? traj::SegmentCorpus(corpus, options_.segmentation)
                    : traj::SegmentCorpusByWindows(corpus, options_.windows);
   }
-  return BuildDatasetFromSegments(std::move(segments), labels);
+  return BuildFromSegments(std::move(segments), labels);
 }
 
 std::vector<std::string> Pipeline::FeatureNames() const {
@@ -39,10 +37,12 @@ std::vector<std::string> Pipeline::FeatureNames() const {
 
 Result<ml::Dataset> Pipeline::BuildDatasetFromSegments(
     std::vector<traj::Segment> segments, const LabelSet& labels) const {
-  // Direct callers (pre-segmented corpora) still get the pipeline span as
-  // the stage parent; via BuildDataset the root span already exists.
-  std::optional<obs::TraceSpan> root;
-  if (obs::TraceSpan::CurrentDepth() == 0) root.emplace("pipeline");
+  obs::ScopedTimer timer("span/pipeline");
+  return BuildFromSegments(std::move(segments), labels);
+}
+
+Result<ml::Dataset> Pipeline::BuildFromSegments(
+    std::vector<traj::Segment> segments, const LabelSet& labels) const {
   stats_ = PipelineStats{};
   stats_.segments_total = segments.size();
   obs::MetricsRegistry::Global()
@@ -50,7 +50,7 @@ Result<ml::Dataset> Pipeline::BuildDatasetFromSegments(
       .Increment(segments.size());
 
   if (options_.remove_noise) {
-    obs::TraceSpan noise_span("noise");
+    obs::ScopedTimer noise_timer("span/pipeline/noise");
     const int min_points =
         options_.strategy == SegmentationStrategy::kUserDayMode
             ? options_.segmentation.min_points
@@ -86,7 +86,7 @@ Result<ml::Dataset> Pipeline::BuildDatasetFromSegments(
 
   std::vector<std::vector<double>> rows(eligible.size());
   {
-    obs::TraceSpan extract_span("extract");
+    obs::ScopedTimer extract_timer("span/pipeline/extract");
     TRAJKIT_RETURN_IF_ERROR(
         ParallelFor(0, eligible.size(), 4, [&](size_t i) {
           const traj::Segment& segment = *eligible[i].segment;
@@ -105,7 +105,7 @@ Result<ml::Dataset> Pipeline::BuildDatasetFromSegments(
         }));
   }
 
-  obs::TraceSpan assemble_span("assemble");
+  obs::ScopedTimer assemble_timer("span/pipeline/assemble");
   std::vector<int> y;
   std::vector<int> groups;
   std::vector<double> times;

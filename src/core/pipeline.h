@@ -81,6 +81,11 @@ class Pipeline {
   const PipelineOptions& options() const { return options_; }
 
  private:
+  /// Steps 2-3 (+6) and assembly, shared by both public entry points;
+  /// each of them times the whole call as span/pipeline.
+  Result<ml::Dataset> BuildFromSegments(std::vector<traj::Segment> segments,
+                                        const LabelSet& labels) const;
+
   PipelineOptions options_;
   mutable PipelineStats stats_;
 };

@@ -1,13 +1,11 @@
 #include "ml/flat_forest.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "common/strings.h"
 #include "ml/decision_tree.h"
 
 namespace trajkit::ml {
@@ -18,9 +16,6 @@ namespace {
 /// pointers stay resident in L1 while a whole tree's SoA node pool streams
 /// through; bigger blocks stop helping once the accumulator rows spill.
 constexpr size_t kBlockRows = 64;
-
-constexpr int16_t kQuantLeafSentinel = std::numeric_limits<int16_t>::min();
-constexpr int16_t kQuantNanValue = std::numeric_limits<int16_t>::max();
 
 /// Runs fn(begin, end) over the kBlockRows-row blocks of [0, n) on the
 /// shared pool; a single block runs inline. Blocks write disjoint output
@@ -93,12 +88,6 @@ size_t FlatForestScratch::DistributionHash::operator()(
 }
 
 Result<FlatForest> FlatForest::Compile(const RandomForest& forest,
-                                       const FlatForestOptions& options) {
-  return Compile(forest, options, nullptr);
-}
-
-Result<FlatForest> FlatForest::Compile(const RandomForest& forest,
-                                       const FlatForestOptions& options,
                                        FlatForestScratch* scratch) {
   if (!forest.fitted()) {
     return Status::FailedPrecondition(
@@ -107,19 +96,6 @@ Result<FlatForest> FlatForest::Compile(const RandomForest& forest,
   FlatForest flat;
   flat.num_classes_ = forest.num_classes();
   flat.num_features_ = forest.FeatureImportances().size();
-  if (options.quantize) {
-    if (options.exactness_reference == nullptr ||
-        options.exactness_reference->rows() == 0) {
-      return Status::InvalidArgument(
-          "threshold quantization requires non-empty exactness_reference "
-          "rows (normally the training features)");
-    }
-    if (options.exactness_reference->cols() != flat.num_features_) {
-      return Status::InvalidArgument(StrPrintf(
-          "exactness_reference has %zu columns, forest expects %zu",
-          options.exactness_reference->cols(), flat.num_features_));
-    }
-  }
 
   size_t total_nodes = 0;
   for (const DecisionTree& tree : forest.trees()) {
@@ -205,135 +181,7 @@ Result<FlatForest> FlatForest::Compile(const RandomForest& forest,
     flat.depths_.push_back(tree.Depth());
   }
   flat.num_distributions_ = dedup.size();
-
-  if (options.quantize) {
-    flat.TryQuantize(*options.exactness_reference);
-  }
   return flat;
-}
-
-void FlatForest::TryQuantize(const Matrix& reference) {
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> lo(num_features_, inf);
-  std::vector<double> hi(num_features_, -inf);
-  for (size_t i = 0; i < feature_.size(); ++i) {
-    const int32_t f = feature_[i];
-    if (f < 0) continue;
-    lo[static_cast<size_t>(f)] =
-        std::min(lo[static_cast<size_t>(f)], threshold_[i]);
-    hi[static_cast<size_t>(f)] =
-        std::max(hi[static_cast<size_t>(f)], threshold_[i]);
-  }
-  qlo_.assign(num_features_, 0.0);
-  qscale_.assign(num_features_, 0.0);
-  for (size_t f = 0; f < num_features_; ++f) {
-    if (lo[f] > hi[f]) continue;  // Feature never split on; never compared.
-    qlo_[f] = lo[f];
-    qscale_[f] = hi[f] > lo[f] ? 32000.0 / (hi[f] - lo[f]) : 1.0;
-  }
-  qthreshold_.resize(feature_.size());
-  for (size_t i = 0; i < feature_.size(); ++i) {
-    const int32_t f = feature_[i];
-    if (f < 0) {
-      // Every quantized row value is clamped to >= -32767, so the leaf
-      // sentinel keeps `!(qv <= qt)` == 1 and the self-loop intact.
-      qthreshold_[i] = kQuantLeafSentinel;
-      continue;
-    }
-    const double g = std::floor(
-        (threshold_[i] - qlo_[static_cast<size_t>(f)]) *
-        qscale_[static_cast<size_t>(f)]);
-    qthreshold_[i] = static_cast<int16_t>(std::clamp(g, -32767.0, 32766.0));
-  }
-
-  // Exactness check: the quantized grid is monotone, so x <= t always
-  // implies q(x) <= q(t) — but a sample strictly above a threshold can
-  // share its grid cell and flip right-to-left. Replay every reference
-  // row through both descents; one divergence rejects the quantized form.
-  std::vector<int16_t> qrow(num_features_);
-  for (size_t r = 0; r < reference.rows(); ++r) {
-    const std::span<const double> row = reference.Row(r);
-    QuantizeRow(row, qrow.data());
-    for (size_t t = 0; t < roots_.size(); ++t) {
-      const size_t exact = DescendExact(t, row);
-      const size_t quant = DescendQuantized(t, qrow.data());
-      if (exact != quant) {
-        quantization_rejection_ = StrPrintf(
-            "quantized descent diverged from the exact path on reference "
-            "row %zu, tree %zu (leaf node %zu vs %zu): a sample sits "
-            "between a threshold and its int16 grid cell edge",
-            r, t, exact, quant);
-        qthreshold_.clear();
-        qlo_.clear();
-        qscale_.clear();
-        return;
-      }
-    }
-  }
-}
-
-void FlatForest::QuantizeRow(std::span<const double> row,
-                             int16_t* out) const {
-  for (size_t f = 0; f < num_features_; ++f) {
-    const double g = std::floor((row[f] - qlo_[f]) * qscale_[f]);
-    // NaN maps above every internal threshold so the quantized comparison
-    // sends it right, exactly like `!(NaN <= t)` on the exact path.
-    out[f] = std::isnan(g)
-                 ? kQuantNanValue
-                 : static_cast<int16_t>(std::clamp(g, -32767.0, 32766.0));
-  }
-}
-
-size_t FlatForest::DescendExact(size_t tree,
-                                std::span<const double> row) const {
-  size_t i = static_cast<size_t>(roots_[tree]);
-  int32_t f = feature_[i];
-  while (f >= 0) {
-    const double v = row[static_cast<size_t>(f)];
-    i = static_cast<size_t>(child_[i] +
-                            static_cast<int32_t>(!(v <= threshold_[i])));
-    f = feature_[i];
-  }
-  return i;
-}
-
-size_t FlatForest::DescendQuantized(size_t tree, const int16_t* qrow) const {
-  size_t i = static_cast<size_t>(roots_[tree]);
-  int32_t f = feature_[i];
-  while (f >= 0) {
-    const int16_t v = qrow[static_cast<size_t>(f)];
-    i = static_cast<size_t>(child_[i] +
-                            static_cast<int32_t>(!(v <= qthreshold_[i])));
-    f = feature_[i];
-  }
-  return i;
-}
-
-void FlatForest::AccumulateVotes(std::span<const double> row, double scale,
-                                 std::span<double> acc) const {
-  TRAJKIT_CHECK_GE(row.size(), num_features_);
-  TRAJKIT_CHECK_EQ(acc.size(), static_cast<size_t>(num_classes_));
-  const size_t k = static_cast<size_t>(num_classes_);
-  if (!quantized()) {
-    for (size_t t = 0; t < roots_.size(); ++t) {
-      const double* dist = dist_table_.data() + dist_offset_[DescendExact(t, row)];
-      for (size_t c = 0; c < k; ++c) acc[c] += dist[c] * scale;
-    }
-    return;
-  }
-  int16_t qstack[256];
-  std::vector<int16_t> qheap;
-  int16_t* qrow = qstack;
-  if (num_features_ > std::size(qstack)) {
-    qheap.resize(num_features_);
-    qrow = qheap.data();
-  }
-  QuantizeRow(row, qrow);
-  for (size_t t = 0; t < roots_.size(); ++t) {
-    const double* dist =
-        dist_table_.data() + dist_offset_[DescendQuantized(t, qrow)];
-    for (size_t c = 0; c < k; ++c) acc[c] += dist[c] * scale;
-  }
 }
 
 template <typename Visit>
@@ -345,27 +193,14 @@ void FlatForest::VisitLeaves(const Matrix& features, size_t begin,
   for (size_t r = 0; r < block; ++r) {
     rows[r] = features.Row(begin + r).data();
   }
-  if (!quantized()) {
-    DescendCohorts(rows, block, threshold_.data(), visit);
-    return;
-  }
-  // Quantized path: rows are lowered to int16 once per block, then every
-  // tree compares 2-byte lanes (half the node-pool bytes of the exact
-  // form in the comparison stream).
-  std::vector<int16_t> qrows(block * num_features_);
-  const int16_t* qrow_ptrs[kBlockRows];
-  for (size_t r = 0; r < block; ++r) {
-    qrow_ptrs[r] = qrows.data() + r * num_features_;
-    QuantizeRow(std::span<const double>(rows[r], features.cols()),
-                qrows.data() + r * num_features_);
-  }
-  DescendCohorts(qrow_ptrs, block, qthreshold_.data(), visit);
+  DescendCohorts(rows, block, visit);
 }
 
-template <typename T, typename Visit>
-void FlatForest::DescendCohorts(const T* const* rows, size_t block,
-                                const T* threshold, Visit& visit) const {
+template <typename Visit>
+void FlatForest::DescendCohorts(const double* const* rows, size_t block,
+                                Visit& visit) const {
   const int32_t* const feature = feature_.data();
+  const double* const threshold = threshold_.data();
   const int32_t* const child = child_.data();
   const int32_t* const dist_offset = dist_offset_.data();
   const double* const table = dist_table_.data();
@@ -374,7 +209,7 @@ void FlatForest::DescendCohorts(const T* const* rows, size_t block,
   // flight instead of one dependent chain of loads per tree.
   const size_t trees_per_cohort = kBlockRows / block;
   int32_t cursor[kBlockRows];
-  const T* lane_row[kBlockRows];
+  const double* lane_row[kBlockRows];
   for (size_t first = 0; first < roots_.size(); first += trees_per_cohort) {
     const size_t last = std::min(first + trees_per_cohort, roots_.size());
     const size_t lanes = (last - first) * block;
@@ -393,7 +228,7 @@ void FlatForest::DescendCohorts(const T* const* rows, size_t block,
       for (size_t l = 0; l < lanes; ++l) {
         const int32_t i = cursor[l];
         const int32_t f = feature[i];
-        const T v = lane_row[l][f < 0 ? 0 : f];
+        const double v = lane_row[l][f < 0 ? 0 : f];
         cursor[l] = child[i] + static_cast<int32_t>(!(v <= threshold[i]));
       }
     }
@@ -471,18 +306,7 @@ FlatForestStats FlatForest::Stats() const {
   stats.num_nodes = num_nodes();
   stats.num_leaves = num_leaves_;
   stats.shared_distributions = num_distributions_;
-  stats.quantized = quantized();
   return stats;
-}
-
-size_t FlatForest::LeafIndexForTest(size_t tree, std::span<const double> row,
-                                    bool use_quantized) const {
-  TRAJKIT_CHECK_LT(tree, roots_.size());
-  if (!use_quantized) return DescendExact(tree, row);
-  TRAJKIT_CHECK(quantized());
-  std::vector<int16_t> qrow(num_features_);
-  QuantizeRow(row, qrow.data());
-  return DescendQuantized(tree, qrow.data());
 }
 
 }  // namespace trajkit::ml

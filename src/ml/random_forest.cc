@@ -195,19 +195,12 @@ std::unique_ptr<Classifier> RandomForest::Clone() const {
   return std::make_unique<RandomForest>(params_);
 }
 
-Status RandomForest::CompileFlat() { return CompileFlat(FlatForestOptions{}); }
-
-Status RandomForest::CompileFlat(const FlatForestOptions& options) {
-  return CompileFlat(options, nullptr);
-}
-
-Status RandomForest::CompileFlat(const FlatForestOptions& options,
-                                 FlatForestScratch* scratch) {
+Status RandomForest::CompileFlat(FlatForestScratch* scratch) {
   if (!fitted()) {
     return Status::FailedPrecondition("CompileFlat before Fit");
   }
   TRAJKIT_ASSIGN_OR_RETURN(FlatForest flat,
-                           FlatForest::Compile(*this, options, scratch));
+                           FlatForest::Compile(*this, scratch));
   flat_ = std::make_shared<const FlatForest>(std::move(flat));
   return Status::Ok();
 }

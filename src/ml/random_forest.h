@@ -10,7 +10,6 @@
 namespace trajkit::ml {
 
 class FlatForest;
-struct FlatForestOptions;
 struct FlatForestScratch;
 
 /// Hyper-parameters of the random forest. Defaults follow the paper's
@@ -73,16 +72,10 @@ class RandomForest final : public Classifier {
   /// Compiles the flat inference form (ml/flat_forest.h): a contiguous
   /// SoA node pool with branchless descent and a batched multi-row
   /// kernel. Once compiled, Predict/PredictProba delegate to it — with
-  /// bit-identical results. Re-fitting drops the compiled form. The
-  /// overload with options can additionally request int16 threshold
-  /// quantization (accepted only behind its exactness check).
-  /// Precondition: fitted.
-  Status CompileFlat();
-  Status CompileFlat(const FlatForestOptions& options);
-  /// Same, reusing a caller-owned compile workspace across refits (see
-  /// FlatForestScratch); nullptr behaves like the plain overload.
-  Status CompileFlat(const FlatForestOptions& options,
-                     FlatForestScratch* scratch);
+  /// bit-identical results. Re-fitting drops the compiled form. A
+  /// non-null `scratch` reuses a caller-owned compile workspace across
+  /// refits (see FlatForestScratch). Precondition: fitted.
+  Status CompileFlat(FlatForestScratch* scratch = nullptr);
 
   /// The compiled form, or nullptr when CompileFlat was not called (or a
   /// refit invalidated it). Copies of a compiled forest share the

@@ -1,24 +1,6 @@
 #include "obs/trace.h"
 
-#include <vector>
-
 namespace trajkit::obs {
-
-namespace {
-
-/// Per-thread span state: the joined path plus the length of the path
-/// before each open span, so closing a span is a truncation.
-struct SpanStack {
-  std::string path;
-  std::vector<size_t> lengths;
-};
-
-SpanStack& ThreadStack() {
-  thread_local SpanStack stack;
-  return stack;
-}
-
-}  // namespace
 
 double ScopedTimer::Stop() {
   if (stopped_) return 0.0;
@@ -28,33 +10,6 @@ double ScopedTimer::Stop() {
           .count();
   histogram_->Observe(seconds);
   return seconds;
-}
-
-TraceSpan::TraceSpan(std::string_view name, MetricsRegistry& registry)
-    : registry_(&registry), start_(std::chrono::steady_clock::now()) {
-  SpanStack& stack = ThreadStack();
-  stack.lengths.push_back(stack.path.size());
-  if (!stack.path.empty()) stack.path += '/';
-  stack.path += name;
-  path_ = stack.path;
-}
-
-TraceSpan::~TraceSpan() {
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  registry_->GetHistogram("span/" + path_, HistogramOptions::DurationSeconds())
-      .Observe(seconds);
-  registry_->GetCounter("span_calls/" + path_).Increment();
-  SpanStack& stack = ThreadStack();
-  stack.path.resize(stack.lengths.back());
-  stack.lengths.pop_back();
-}
-
-std::string TraceSpan::CurrentPath() { return ThreadStack().path; }
-
-int TraceSpan::CurrentDepth() {
-  return static_cast<int>(ThreadStack().lengths.size());
 }
 
 }  // namespace trajkit::obs

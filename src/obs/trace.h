@@ -2,13 +2,11 @@
 #define TRAJKIT_OBS_TRACE_H_
 
 // RAII timing on top of the metrics registry: ScopedTimer records one
-// histogram observation at scope exit; TraceSpan additionally nests — each
-// thread keeps a span stack, and a span's duration lands in a histogram
-// named "span/<parent>/<name>", so the pipeline's stage tree shows up as a
+// histogram observation at scope exit. The offline pipeline names its
+// stage timers "span/pipeline/<stage>", so its stage tree shows up as a
 // deterministic family of histogram names.
 
 #include <chrono>
-#include <string>
 #include <string_view>
 
 #include "obs/metrics.h"
@@ -42,33 +40,6 @@ class ScopedTimer {
   Histogram* histogram_;
   std::chrono::steady_clock::time_point start_;
   bool stopped_ = false;
-};
-
-/// A nestable, named timing scope. Spans on one thread form a stack; the
-/// full path (outer/inner/...) names the histogram the duration is
-/// recorded into, plus a "span_calls/<path>" counter. Spans are
-/// thread-local: a span opened on a pool worker does not inherit the
-/// submitting thread's stack.
-class TraceSpan {
- public:
-  explicit TraceSpan(std::string_view name,
-                     MetricsRegistry& registry = MetricsRegistry::Global());
-  ~TraceSpan();
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  /// The calling thread's current span path ("a/b/c"; empty outside spans).
-  static std::string CurrentPath();
-  /// Nesting depth of the calling thread (0 outside spans).
-  static int CurrentDepth();
-
-  const std::string& path() const { return path_; }
-
- private:
-  MetricsRegistry* registry_;
-  std::string path_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace trajkit::obs

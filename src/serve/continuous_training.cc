@@ -258,8 +258,7 @@ void ContinuousTrainer::LaunchRefit() {
         // reusing the trainer's scratch so periodic refits don't rebuild
         // the dedup/BFS workspaces (Register would otherwise compile
         // from scratch).
-        TRAJKIT_RETURN_IF_ERROR(
-            forest.CompileFlat(ml::FlatForestOptions{}, scratch));
+        TRAJKIT_RETURN_IF_ERROR(forest.CompileFlat(scratch));
         return MakeServingModel(version, std::move(forest),
                                 static_cast<int>(width));
       });

@@ -232,8 +232,8 @@ Status ModelRegistry::Register(ServingModel model) {
   // Lower the forest into its flat inference form before the model becomes
   // visible, so serving always runs the compiled path — including right
   // after a hot swap — and never pays the compile on a request thread.
-  // Deserialized models arrive uncompiled; models compiled by the caller
-  // (e.g. with quantization) are kept as-is.
+  // Deserialized models arrive uncompiled; models the caller already
+  // compiled (the continuous trainer compiles its refits) are kept as-is.
   if (model.forest.flat() == nullptr) {
     TRAJKIT_RETURN_IF_ERROR(model.forest.CompileFlat());
   }
@@ -398,9 +398,6 @@ void ModelRegistry::ExportActiveMetricsLocked() {
     obs::MetricsRegistry::Global()
         .GetGauge("serve.registry.flat_nodes")
         .Set(static_cast<double>(stats.num_nodes));
-    obs::MetricsRegistry::Global()
-        .GetGauge("serve.registry.flat_quantized")
-        .Set(stats.quantized ? 1.0 : 0.0);
   }
 }
 

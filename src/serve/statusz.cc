@@ -89,11 +89,7 @@ std::string RenderStatusPage(const obs::MetricsRegistry& metrics,
   // before the first activation.
   const double flat_nodes = GaugeValue(metrics, "serve.registry.flat_nodes");
   if (flat_nodes > 0.0) {
-    Appendf(out, "  flat_form: compiled (%.0f nodes, quantized=%s)\n",
-            flat_nodes,
-            GaugeValue(metrics, "serve.registry.flat_quantized") > 0.0
-                ? "yes"
-                : "no");
+    Appendf(out, "  flat_form: compiled (%.0f nodes)\n", flat_nodes);
   } else {
     out += "  flat_form: (not compiled)\n";
   }

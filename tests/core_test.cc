@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/experiments.h"
 #include "core/label_sets.h"
 #include "core/pipeline.h"
 #include "geo/geodesy.h"
+#include "obs/metrics.h"
 #include "synthgeo/generator.h"
 #include "traj/trajectory_features.h"
 
@@ -136,6 +140,49 @@ TEST(PipelineTest, EmptyLabelMatchFails) {
   }
   const Pipeline pipeline;
   EXPECT_FALSE(pipeline.BuildDataset({trajectory}, LabelSet::Dabiri()).ok());
+}
+
+// Each entry point opens the span/pipeline timer once: BuildDataset times
+// segmentation and every later stage, a direct BuildDatasetFromSegments
+// call every stage but segmentation. Counts are deltas on the global
+// registry, which other tests in this binary also feed.
+TEST(PipelineTest, StageTimersObserveOncePerEntryPoint) {
+  const std::vector<std::string> names = {
+      "span/pipeline", "span/pipeline/segment", "span/pipeline/noise",
+      "span/pipeline/extract", "span/pipeline/assemble"};
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto counts = [&] {
+    std::vector<uint64_t> out;
+    for (const std::string& name : names) {
+      out.push_back(
+          registry.GetHistogram(name, obs::HistogramOptions::DurationSeconds())
+              .count());
+    }
+    return out;
+  };
+  PipelineOptions options;
+  options.remove_noise = true;  // So the noise stage runs too.
+  const Pipeline pipeline(options);
+  const std::vector<traj::Trajectory> corpus = SmallCorpus(11);
+
+  const std::vector<uint64_t> before = counts();
+  ASSERT_TRUE(pipeline.BuildDataset(corpus, LabelSet::Dabiri()).ok());
+  const std::vector<uint64_t> after_build = counts();
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(after_build[i] - before[i], 1u) << names[i];
+  }
+
+  std::vector<traj::Segment> segments =
+      traj::SegmentCorpus(corpus, options.segmentation);
+  ASSERT_TRUE(pipeline
+                  .BuildDatasetFromSegments(std::move(segments),
+                                            LabelSet::Dabiri())
+                  .ok());
+  const std::vector<uint64_t> after_direct = counts();
+  const std::vector<uint64_t> expected = {1, 0, 1, 1, 1};
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(after_direct[i] - after_build[i], expected[i]) << names[i];
+  }
 }
 
 // ----------------------------------------------------------- Experiments --

@@ -1,8 +1,8 @@
 // Tests of the observability layer (src/obs/): histogram bucket and
 // quantile correctness, concurrent counter/histogram updates (run under
 // TSan via the `concurrency` ctest label), golden-file JSON and Prometheus
-// exports (deterministic ordering is part of the contract), and trace-span
-// nesting.
+// exports (deterministic ordering is part of the contract), and scoped
+// timers.
 
 #include <string>
 #include <thread>
@@ -317,49 +317,6 @@ TEST(ScopedTimerTest, RecordsOnceIntoHistogram) {
     ScopedTimer named("t2", registry);
   }
   EXPECT_EQ(registry.GetHistogram("t2").count(), 1u);
-}
-
-TEST(TraceSpanTest, NestingBuildsPathsAndUnwinds) {
-  MetricsRegistry registry;
-  EXPECT_EQ(TraceSpan::CurrentPath(), "");
-  EXPECT_EQ(TraceSpan::CurrentDepth(), 0);
-  {
-    TraceSpan outer("outer", registry);
-    EXPECT_EQ(TraceSpan::CurrentPath(), "outer");
-    EXPECT_EQ(TraceSpan::CurrentDepth(), 1);
-    {
-      TraceSpan inner("inner", registry);
-      EXPECT_EQ(inner.path(), "outer/inner");
-      EXPECT_EQ(TraceSpan::CurrentPath(), "outer/inner");
-      EXPECT_EQ(TraceSpan::CurrentDepth(), 2);
-    }
-    EXPECT_EQ(TraceSpan::CurrentPath(), "outer");
-    {
-      TraceSpan sibling("sibling", registry);
-      EXPECT_EQ(TraceSpan::CurrentPath(), "outer/sibling");
-    }
-  }
-  EXPECT_EQ(TraceSpan::CurrentPath(), "");
-  EXPECT_EQ(TraceSpan::CurrentDepth(), 0);
-  EXPECT_EQ(registry.GetHistogram("span/outer").count(), 1u);
-  EXPECT_EQ(registry.GetHistogram("span/outer/inner").count(), 1u);
-  EXPECT_EQ(registry.GetHistogram("span/outer/sibling").count(), 1u);
-  EXPECT_EQ(registry.GetCounter("span_calls/outer").value(), 1u);
-  EXPECT_EQ(registry.GetCounter("span_calls/outer/inner").value(), 1u);
-}
-
-TEST(TraceSpanTest, SpansAreThreadLocal) {
-  MetricsRegistry registry;
-  TraceSpan outer("main-span", registry);
-  std::thread worker([&registry] {
-    // A fresh thread starts outside any span, whatever the spawner holds.
-    EXPECT_EQ(TraceSpan::CurrentPath(), "");
-    TraceSpan span("worker-span", registry);
-    EXPECT_EQ(TraceSpan::CurrentPath(), "worker-span");
-  });
-  worker.join();
-  EXPECT_EQ(TraceSpan::CurrentPath(), "main-span");
-  EXPECT_EQ(registry.GetHistogram("span/worker-span").count(), 1u);
 }
 
 }  // namespace

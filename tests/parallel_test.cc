@@ -18,7 +18,6 @@
 #include "ml/crossval.h"
 #include "ml/dataset.h"
 #include "ml/feature_selection.h"
-#include "ml/permutation_importance.h"
 #include "ml/random_forest.h"
 #include "ml/splits.h"
 
@@ -300,27 +299,6 @@ TEST(ParallelDeterminismTest, ForwardWrapperSelectionSteps) {
       return cv.ok() ? cv->MeanAccuracy() : 0.0;
     };
     return std::move(ml::ForwardWrapperSelection(data, evaluator, 4)).value();
-  };
-  const auto [serial, parallel] = UnderBothThreadCounts(run);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].feature_index, parallel[i].feature_index);
-    EXPECT_EQ(serial[i].score, parallel[i].score);
-  }
-}
-
-TEST(ParallelDeterminismTest, PermutationImportanceScores) {
-  const ml::Dataset data = MakeGroupedBlobs(3, 40, 17);
-  ml::RandomForestParams params;
-  params.n_estimators = 8;
-  ml::RandomForest forest(params);
-  ASSERT_TRUE(forest.Fit(data).ok());
-  auto run = [&] {
-    ml::PermutationImportanceOptions options;
-    options.repeats = 3;
-    options.seed = 77;
-    return std::move(ml::PermutationImportance(forest, data, options))
-        .value();
   };
   const auto [serial, parallel] = UnderBothThreadCounts(run);
   ASSERT_EQ(serial.size(), parallel.size());

@@ -680,8 +680,7 @@ TEST(FlatForestScratchTest, ReuseAcrossRefitsIsBitIdentical) {
       }
     }
     const std::vector<int> tree_walk = model.forest.Predict(probe);
-    ASSERT_TRUE(
-        model.forest.CompileFlat(ml::FlatForestOptions{}, &scratch).ok());
+    ASSERT_TRUE(model.forest.CompileFlat(&scratch).ok());
     ASSERT_NE(model.forest.flat(), nullptr);
     EXPECT_EQ(model.forest.Predict(probe), tree_walk) << "seed " << seed;
   }

@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "core/label_sets.h"
 #include "core/pipeline.h"
+#include "ml/flat_forest.h"
 #include "ml/random_forest.h"
 #include "obs/request_trace.h"
 #include "serve/batch_predictor.h"
@@ -1580,6 +1581,24 @@ TEST(StatuszTest, GoldenEmptyPageRendersEverySectionWithPlaceholders) {
       "  (no data)\n"
       "retained traces: (tracing disabled)\n";
   EXPECT_EQ(RenderStatusPage(metrics, tracer), expected);
+}
+
+TEST(StatuszTest, FlatFormLineShowsTheActiveModelsNodeCount) {
+  // Activation exports the compiled form's node count to the global
+  // registry; the page names it in place of "(not compiled)".
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(ReplayFixture::Get().model).ok());
+  const std::shared_ptr<const ServingModel> active = registry.Acquire().active;
+  ASSERT_NE(active, nullptr);
+  ASSERT_NE(active->forest.flat(), nullptr);
+  obs::RequestTracer tracer;
+  const std::string page =
+      RenderStatusPage(obs::MetricsRegistry::Global(), tracer);
+  EXPECT_NE(page.find("  flat_form: compiled (" +
+                      std::to_string(active->forest.flat()->num_nodes()) +
+                      " nodes)\n"),
+            std::string::npos)
+      << page;
 }
 
 TEST(StatuszTest, RendersSloAndTimeseriesSectionsWhenWired) {

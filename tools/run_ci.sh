@@ -15,7 +15,7 @@
 #      dumps and SLO transitions byte-identical at t1/t8 × s1/s8; a
 #      lingering serve-replay's /metrics byte-matches --metrics_prom and
 #      passes tools/check_prom.py, then exits via /quitquitquit
-#   5. chaos smokes: fault-injection replay (sharded) and a
+#   5. chaos smokes: fault-injection replay at --shards=1/8 and a
 #      shadow-promotion run under chaos — >= 1 promotion in the trace
 #      export, metrics, and the statusz registry-audit section
 #   6. TSan:   concurrency-labelled tests under ThreadSanitizer
@@ -259,80 +259,60 @@ echo "scrape smoke: ok (port $PORT)"
 # request accounted — the CLI itself fails on a lifecycle leak) AND the
 # chaos must actually bite: at least one request shed or degraded, with
 # the last-good-snapshot rung (previous_model) demonstrably exercised.
-# The same run dumps the flight recorder; tools/check_trace.py proves
-# the Chrome trace is loadable, every span's trace id resolves in the
-# request log, and a fault-injected request was tail-kept.
-echo "==> chaos smoke: serve-replay under --fault_spec"
+# Admission control and the degradation ladder are per-shard, so the
+# same chaos runs unsharded and at --shards=8, where the shard mirrors
+# must light up too (a silent fall-back to one shard would pass the
+# first run). The unsharded run dumps the flight recorder;
+# tools/check_trace.py proves the Chrome trace is loadable, every span's
+# trace id resolves in the request log, and a fault-injected request was
+# tail-kept.
+echo "==> chaos smoke: serve-replay under --fault_spec at --shards=1/8"
 CHAOS_OUT="$BUILD_DIR/chaos-smoke"
 mkdir -p "$CHAOS_OUT"
 "$BUILD_DIR"/tools/trajkit features --users=6 --days=2 --seed=42 \
   --out="$CHAOS_OUT/features.csv" >/dev/null
 "$BUILD_DIR"/tools/trajkit train --dataset="$CHAOS_OUT/features.csv" \
   --trees=15 --model="$CHAOS_OUT/rf.model" >/dev/null
-"$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
-  --model="$CHAOS_OUT/rf.model" \
-  --deadline_ms=100 --max_queue=16 --retries=2 \
-  --fault_spec="swap_stall:p=0.2,latency_ms=5;predict_fail:p=0.2;batch_delay:p=0.3,latency_ms=2;seed=3" \
-  --metrics_json="$CHAOS_OUT/metrics.json" \
-  --trace_json="$CHAOS_OUT/trace.json" | tee "$CHAOS_OUT/replay.log"
-grep -E "lifecycle: .* degraded: previous_model=" "$CHAOS_OUT/replay.log" \
-  >/dev/null || {
-    echo "chaos smoke: accounting line lost its per-rung counts" >&2
-    exit 1
-  }
-python3 - "$CHAOS_OUT/metrics.json" <<'EOF'
+for shards in 1 8; do
+  TRACE_ARGS=()
+  if [[ "$shards" == 1 ]]; then
+    TRACE_ARGS=(--trace_json="$CHAOS_OUT/trace.json")
+  fi
+  "$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
+    --model="$CHAOS_OUT/rf.model" --shards="$shards" \
+    --deadline_ms=100 --max_queue=16 --retries=2 \
+    --fault_spec="swap_stall:p=0.2,latency_ms=5;predict_fail:p=0.2;batch_delay:p=0.3,latency_ms=2;seed=3" \
+    --metrics_json="$CHAOS_OUT/metrics_s$shards.json" "${TRACE_ARGS[@]}" \
+    | tee "$CHAOS_OUT/replay_s$shards.log"
+  grep -E "lifecycle: .* degraded: previous_model=" \
+    "$CHAOS_OUT/replay_s$shards.log" >/dev/null || {
+      echo "chaos smoke (shards=$shards): accounting line lost its per-rung counts" >&2
+      exit 1
+    }
+  python3 - "$CHAOS_OUT/metrics_s$shards.json" "$shards" <<'EOF'
 import json, sys
 counters = json.load(open(sys.argv[1])).get("counters", {})
+shards = int(sys.argv[2])
 shed = sum(v for k, v in counters.items() if k.startswith("serve.shed_total"))
 degraded = sum(
     v for k, v in counters.items() if k.startswith("serve.degraded_total"))
 previous_model = counters.get("serve.degraded_total.previous_model", 0)
-print(f"chaos smoke: shed={shed} degraded={degraded} "
-      f"previous_model={previous_model}")
-if shed + degraded == 0:
-    sys.exit("chaos smoke: fault spec injected nothing "
-             "(expected nonzero serve.shed_total or serve.degraded_total)")
-if previous_model == 0:
-    sys.exit("chaos smoke: the last-good-snapshot rung was never "
-             "exercised (serve.degraded_total.previous_model == 0)")
-EOF
-python3 tools/check_trace.py "$CHAOS_OUT/trace.json" \
-  --require-tail-kept-fault
-
-# The same chaos must bite when the plane is sharded: admission control
-# and the degradation ladder are per-shard now, so re-run at --shards=8
-# and re-assert the shed/degraded counters (the shard mirrors must light
-# up too — a silent fall-back to one shard would pass the first run).
-"$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
-  --model="$CHAOS_OUT/rf.model" --shards=8 \
-  --deadline_ms=100 --max_queue=16 --retries=2 \
-  --fault_spec="swap_stall:p=0.2,latency_ms=5;predict_fail:p=0.2;batch_delay:p=0.3,latency_ms=2;seed=3" \
-  --metrics_json="$CHAOS_OUT/metrics_s8.json" | tee "$CHAOS_OUT/replay_s8.log"
-grep -E "lifecycle: .* degraded: previous_model=" "$CHAOS_OUT/replay_s8.log" \
-  >/dev/null || {
-    echo "chaos smoke (sharded): accounting line lost its per-rung counts" >&2
-    exit 1
-  }
-python3 - "$CHAOS_OUT/metrics_s8.json" <<'EOF'
-import json, sys
-counters = json.load(open(sys.argv[1])).get("counters", {})
-shed = sum(v for k, v in counters.items()
-           if k.startswith("serve.shed_total"))
-degraded = sum(v for k, v in counters.items()
-               if k.startswith("serve.degraded_total"))
-previous_model = counters.get("serve.degraded_total.previous_model", 0)
 shard_counters = sum(1 for k in counters if k.startswith("serve.shard"))
-print(f"chaos smoke (shards=8): shed={shed} degraded={degraded} "
+print(f"chaos smoke (shards={shards}): shed={shed} degraded={degraded} "
       f"previous_model={previous_model} shard_counters={shard_counters}")
 if shed + degraded == 0:
-    sys.exit("chaos smoke (shards=8): fault spec injected nothing")
+    sys.exit(f"chaos smoke (shards={shards}): fault spec injected nothing "
+             "(expected nonzero serve.shed_total or serve.degraded_total)")
 if previous_model == 0:
-    sys.exit("chaos smoke (shards=8): the last-good-snapshot rung was "
-             "never exercised")
-if shard_counters == 0:
-    sys.exit("chaos smoke (shards=8): no serve.shard<i>.* counters — "
-             "the plane silently ran unsharded")
+    sys.exit(f"chaos smoke (shards={shards}): the last-good-snapshot rung "
+             "was never exercised (serve.degraded_total.previous_model == 0)")
+if shards > 1 and shard_counters == 0:
+    sys.exit(f"chaos smoke (shards={shards}): no serve.shard<i>.* counters "
+             "— the plane silently ran unsharded")
 EOF
+done
+python3 tools/check_trace.py "$CHAOS_OUT/trace.json" \
+  --require-tail-kept-fault
 
 # Shadow-promotion smoke: the continuous-training loop must close under
 # chaos — candidates refit, shadow-score on the live batches, and at
