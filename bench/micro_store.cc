@@ -15,8 +15,8 @@
 //                 cell sizes, as secondary timings.
 //
 // Flags: --segments=20000 --queries=400 --seed=7 --min_speedup=10
-// --str (STR packing instead of Hilbert), --timing_json=FILE plus the
-// shared --threads/--metrics_json.
+// --leaf_fanout/--fanout, --timing_json=FILE plus the shared
+// --threads/--metrics_json.
 //
 //   ./micro_store --segments=20000 --timing_json=BENCH_store.json
 
@@ -105,7 +105,6 @@ int Main(int argc, char** argv) {
   Rng rng(flags.GetUint64("seed", 7));
 
   store::TrajectoryStoreOptions options;
-  if (flags.Has("str")) options.strategy = store::BulkLoadStrategy::kStr;
   options.leaf_fanout = static_cast<size_t>(
       flags.GetInt("leaf_fanout", static_cast<int>(options.leaf_fanout)));
   options.fanout =

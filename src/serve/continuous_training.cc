@@ -15,6 +15,10 @@ namespace trajkit::serve {
 
 namespace {
 
+/// Candidate versions are "ct-v<N>" with N starting at 2 (v1 is
+/// conventionally the bootstrap model).
+constexpr char kVersionPrefix[] = "ct-v";
+
 obs::Counter& CtCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
@@ -201,7 +205,7 @@ void ContinuousTrainer::LaunchRefit() {
   auto snapshot = std::make_shared<std::vector<LabeledExample>>(
       buffer_.begin(), buffer_.end());
   const std::string version =
-      options_.version_prefix + std::to_string(next_version_++);
+      kVersionPrefix + std::to_string(next_version_++);
   ml::RandomForestParams params = options_.forest;
   // Distinct but deterministic forests per refit.
   params.seed = options_.forest.seed + stats_.refits_launched;

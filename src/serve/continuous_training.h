@@ -83,9 +83,6 @@ struct ContinuousTrainingOptions {
   ml::RandomForestParams forest;
   PromotionPolicy promotion;
   DriftOptions drift;
-  /// Candidate versions are `version_prefix + N` with N starting at 2
-  /// ("ct-v2", "ct-v3", ...; v1 is conventionally the bootstrap model).
-  std::string version_prefix = "ct-v";
 };
 
 /// Drives refits/promotions against a ModelRegistry. Thread contract: all

@@ -1,3 +1,4 @@
+#include <cmath>
 #include <cstring>
 #include <string>
 
@@ -62,6 +63,17 @@ class LogReader {
     return value;
   }
 
+  /// A double the index and the hotspot grid compute with: NaN or ±inf
+  /// would slip past the node-bound min/max and overflow the grid casts.
+  Result<double> ReadFinite(const char* what) {
+    TRAJKIT_ASSIGN_OR_RETURN(double value, Read<double>(what));
+    if (!std::isfinite(value)) {
+      return Status::ParseError(StrPrintf("%s: non-finite %s in segment log",
+                                          path_.c_str(), what));
+    }
+    return value;
+  }
+
   /// Consumes the 8-byte magic. `required` distinguishes the mandatory
   /// leading header from optional mid-stream ones at concatenation seams.
   Result<bool> ReadMagic(bool required) {
@@ -106,18 +118,18 @@ Result<StoredSegment> ReadSegment(LogReader& reader) {
   segment.predicted_mode = static_cast<traj::Mode>(predicted);
   segment.true_mode = static_cast<traj::Mode>(annotated);
   TRAJKIT_ASSIGN_OR_RETURN(segment.start_time,
-                           reader.Read<double>("start_time"));
-  TRAJKIT_ASSIGN_OR_RETURN(segment.end_time, reader.Read<double>("end_time"));
+                           reader.ReadFinite("start_time"));
+  TRAJKIT_ASSIGN_OR_RETURN(segment.end_time, reader.ReadFinite("end_time"));
   TRAJKIT_ASSIGN_OR_RETURN(segment.num_points,
                            reader.Read<uint32_t>("num_points"));
   TRAJKIT_ASSIGN_OR_RETURN(segment.bbox.min_lat,
-                           reader.Read<double>("bbox.min_lat"));
+                           reader.ReadFinite("bbox.min_lat"));
   TRAJKIT_ASSIGN_OR_RETURN(segment.bbox.max_lat,
-                           reader.Read<double>("bbox.max_lat"));
+                           reader.ReadFinite("bbox.max_lat"));
   TRAJKIT_ASSIGN_OR_RETURN(segment.bbox.min_lon,
-                           reader.Read<double>("bbox.min_lon"));
+                           reader.ReadFinite("bbox.min_lon"));
   TRAJKIT_ASSIGN_OR_RETURN(segment.bbox.max_lon,
-                           reader.Read<double>("bbox.max_lon"));
+                           reader.ReadFinite("bbox.max_lon"));
   TRAJKIT_ASSIGN_OR_RETURN(uint32_t num_features,
                            reader.Read<uint32_t>("num_features"));
   if (static_cast<size_t>(num_features) * sizeof(double) >

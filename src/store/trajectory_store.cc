@@ -142,7 +142,7 @@ void TrajectoryStore::BuildIndexLocked() const {
   for (uint32_t i = 0; i < n; ++i) order_[i] = i;
 
   if (n > 1) {
-    // Extent of the MBR centers — the frame both packings sort within.
+    // Extent of the MBR centers — the frame the Hilbert keys live in.
     double lat_lo = center_lat_[0], lat_hi = center_lat_[0];
     double lon_lo = center_lon_[0], lon_hi = center_lon_[0];
     for (size_t i = 1; i < n; ++i) {
@@ -151,44 +151,19 @@ void TrajectoryStore::BuildIndexLocked() const {
       lon_lo = std::min(lon_lo, center_lon_[i]);
       lon_hi = std::max(lon_hi, center_lon_[i]);
     }
-    if (options_.strategy == BulkLoadStrategy::kHilbert) {
-      std::vector<uint64_t> key(n);
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t gx =
-            GridCoord(center_lon_[i], lon_lo, lon_hi, kHilbertOrder);
-        const uint32_t gy =
-            GridCoord(center_lat_[i], lat_lo, lat_hi, kHilbertOrder);
-        key[i] = HilbertDistance(gx, gy);
-      }
-      std::sort(order_.begin(), order_.end(),
-                [&key](uint32_t a, uint32_t b) {
-                  return key[a] != key[b] ? key[a] < key[b] : a < b;
-                });
-    } else {
-      // STR: longitude-sorted vertical slabs, each latitude-sorted.
-      const auto by_lon = [this](uint32_t a, uint32_t b) {
-        return center_lon_[a] != center_lon_[b]
-                   ? center_lon_[a] < center_lon_[b]
-                   : a < b;
-      };
-      const auto by_lat = [this](uint32_t a, uint32_t b) {
-        return center_lat_[a] != center_lat_[b]
-                   ? center_lat_[a] < center_lat_[b]
-                   : a < b;
-      };
-      std::sort(order_.begin(), order_.end(), by_lon);
-      const size_t num_leaves =
-          (n + options_.leaf_fanout - 1) / options_.leaf_fanout;
-      const size_t num_slabs = static_cast<size_t>(
-          std::ceil(std::sqrt(static_cast<double>(num_leaves))));
-      const size_t slab =
-          (n + num_slabs - 1) / std::max<size_t>(1, num_slabs);
-      for (size_t begin = 0; begin < n; begin += slab) {
-        const size_t end = std::min(n, begin + slab);
-        std::sort(order_.begin() + static_cast<ptrdiff_t>(begin),
-                  order_.begin() + static_cast<ptrdiff_t>(end), by_lat);
-      }
+    // Sort MBR centers along an order-16 Hilbert curve over their extent,
+    // then pack consecutive runs into leaves (Kamel & Faloutsos).
+    std::vector<uint64_t> key(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t gx =
+          GridCoord(center_lon_[i], lon_lo, lon_hi, kHilbertOrder);
+      const uint32_t gy =
+          GridCoord(center_lat_[i], lat_lo, lat_hi, kHilbertOrder);
+      key[i] = HilbertDistance(gx, gy);
     }
+    std::sort(order_.begin(), order_.end(), [&key](uint32_t a, uint32_t b) {
+      return key[a] != key[b] ? key[a] < key[b] : a < b;
+    });
   }
 
   // Pack leaves over the sorted order, then parent levels bottom-up until

@@ -99,18 +99,9 @@ struct HotspotCell {
   }
 };
 
-/// How the R-tree is packed from the segment MBRs.
-enum class BulkLoadStrategy {
-  /// Sort MBR centers along an order-16 Hilbert curve over the store's
-  /// extent, pack consecutive runs into leaves (Kamel & Faloutsos).
-  kHilbert,
-  /// Sort-Tile-Recursive: slice by center longitude into vertical slabs,
-  /// sort each slab by center latitude, pack (Leutenegger et al.).
-  kStr,
-};
-
+/// The R-tree is bulk-loaded by sorting segment MBR centers along a
+/// Hilbert curve and packing consecutive runs into nodes.
 struct TrajectoryStoreOptions {
-  BulkLoadStrategy strategy = BulkLoadStrategy::kHilbert;
   /// Segment entries per leaf node.
   size_t leaf_fanout = 32;
   /// Child nodes per internal node.

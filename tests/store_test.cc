@@ -1,6 +1,6 @@
 // Tests for the historical trajectory store (src/store): Hilbert-curve
-// properties, bulk-load packing under both strategies, all three query
-// paths against the brute-force oracle (seeded randomized property test,
+// properties, bulk-load packing, all three query paths against the
+// brute-force oracle (seeded randomized property test,
 // thread-count invariance), concurrent ingest-while-query (TSan leg), and
 // the segment-log round trip with its error cases.
 
@@ -8,9 +8,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/csv.h"
@@ -119,12 +121,8 @@ geo::BoundingBox RandomBox(Rng& rng) {
 
 // ----------------------------------------------------------- query paths --
 
-class StoreStrategyTest : public ::testing::TestWithParam<BulkLoadStrategy> {
-};
-
-TEST_P(StoreStrategyTest, IndexedQueriesMatchTheOracle) {
+TEST(TrajectoryStoreTest, IndexedQueriesMatchTheOracle) {
   TrajectoryStoreOptions options;
-  options.strategy = GetParam();
   options.leaf_fanout = 8;  // Small fanouts force a multi-level tree.
   options.fanout = 4;
   TrajectoryStore store(options);
@@ -173,10 +171,6 @@ TEST_P(StoreStrategyTest, IndexedQueriesMatchTheOracle) {
   EXPECT_GE(stats.index_height, 2u);
   EXPECT_GT(stats.nodes_visited, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothStrategies, StoreStrategyTest,
-                         ::testing::Values(BulkLoadStrategy::kHilbert,
-                                           BulkLoadStrategy::kStr));
 
 TEST(TrajectoryStoreTest, ResultsAreIdenticalAtAnyThreadCount) {
   // The store never fans work out to the pool, but the guarantee callers
@@ -424,8 +418,54 @@ TEST(SegmentLogTest, RejectsMissingTruncatedAndForeignFiles) {
   EXPECT_FALSE(store.Load(truncated_path).ok());
   std::remove(full.c_str());
   std::remove(truncated_path.c_str());
+
+  // A non-finite time or bbox edge would slip past the node bounds and
+  // overflow the hotspot grid casts: the load names the field and fails.
+  const std::string hostile = TempPath("trajkit_store_hostile.log");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, double StoredSegment::*>> times = {
+      {"start_time", &StoredSegment::start_time},
+      {"end_time", &StoredSegment::end_time}};
+  const std::vector<std::pair<std::string, double geo::BoundingBox::*>>
+      edges = {{"bbox.min_lat", &geo::BoundingBox::min_lat},
+               {"bbox.max_lat", &geo::BoundingBox::max_lat},
+               {"bbox.min_lon", &geo::BoundingBox::min_lon},
+               {"bbox.max_lon", &geo::BoundingBox::max_lon}};
+  const auto expect_rejected = [&](const std::vector<StoredSegment>& segments,
+                                   const std::string& field) {
+    TrajectoryStore poisoned;
+    for (const StoredSegment& s : segments) poisoned.Ingest(s);
+    ASSERT_TRUE(poisoned.SaveTo(hostile).ok());
+    const Status status = store.Load(hostile);
+    EXPECT_FALSE(status.ok()) << field << " accepted";
+    EXPECT_NE(status.message().find(field), std::string::npos)
+        << status.message();
+  };
+  for (const double bad : {nan, inf, -inf}) {
+    for (const auto& [field, member] : times) {
+      std::vector<StoredSegment> segments = RandomSegments(4, 10);
+      segments[2].*member = bad;
+      expect_rejected(segments, field);
+    }
+    for (const auto& [field, member] : edges) {
+      std::vector<StoredSegment> segments = RandomSegments(4, 10);
+      segments[2].bbox.*member = bad;
+      expect_rejected(segments, field);
+    }
+  }
   EXPECT_EQ(store.size(), 0u)
       << "failed loads must not leave partial segments behind";
+
+  // The uninitialized-box sentinel (90/-90/180/-180) is finite and loads.
+  std::vector<StoredSegment> segments = RandomSegments(4, 10);
+  segments[2].bbox = geo::BoundingBox();
+  TrajectoryStore sentinel;
+  for (const StoredSegment& s : segments) sentinel.Ingest(s);
+  ASSERT_TRUE(sentinel.SaveTo(hostile).ok());
+  EXPECT_TRUE(store.Load(hostile).ok());
+  EXPECT_EQ(store.size(), 4u);
+  std::remove(hostile.c_str());
 }
 
 // ------------------------------------------------------------ concurrency --

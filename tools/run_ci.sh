@@ -4,23 +4,21 @@
 #   1. tier-1: configure (-Werror) + build + full ctest, then the
 #      end-to-end smoke (bench/e2e/run.py --smoke): all four serving
 #      workloads on a small corpus, failing on any correctness check
-#   2. shard determinism: the same replay corpus at --shards=1/2/8 must
-#      produce byte-identical predictions, lifecycle accounting, and
-#      deterministic metrics (tools/check_shard_metrics.py)
-#   3. continuous-training determinism: the same replay with
-#      --continuous_training at t1/t8 × s1/s2/s8 must be byte-identical
-#      (predictions + lifecycle + training lines + deterministic
-#      registry/shadow/ct counters) with >= 1 auto-promotion
-#   4. telemetry determinism + scrape smoke: tick-sampled time-series
-#      dumps and SLO transitions byte-identical at t1/t8 × s1/s8; a
-#      lingering serve-replay's /metrics byte-matches --metrics_prom and
-#      passes tools/check_prom.py, then exits via /quitquitquit
-#   5. chaos smokes: fault-injection replay at --shards=1/8 and a
+#   2. determinism matrix: one model, three serve-replay legs (plain,
+#      --continuous_training, telemetry ticks + SLO) x five configs
+#      (t1_s1 t8_s1 t1_s2 t1_s8 t8_s8); tools/check_determinism.py
+#      byte-compares each run's predictions, summary lines and time-series
+#      dump with its leg's t1_s1 run and checks deterministic counters and
+#      shard mirrors; ct must promote >= 1 model and telemetry must tick
+#   3. scrape smoke: a lingering serve-replay's /metrics byte-matches
+#      --metrics_prom and passes tools/check_prom.py, then exits via
+#      /quitquitquit
+#   4. chaos smokes: fault-injection replay at --shards=1/8 and a
 #      shadow-promotion run under chaos — >= 1 promotion in the trace
 #      export, metrics, and the statusz registry-audit section
-#   6. TSan:   concurrency-labelled tests under ThreadSanitizer
-#   7. ASan:   the full suite under AddressSanitizer
-#   8. bench:  perf-regression gate (tools/check_bench.py) against the
+#   5. TSan:   concurrency-labelled tests under ThreadSanitizer
+#   6. ASan:   the full suite under AddressSanitizer
+#   7. bench:  perf-regression gate (tools/check_bench.py) against the
 #              checked-in BENCH_baseline.json (which must be its own
 #              --update serialisation), incl. the shadow-scoring
 #              and telemetry-tick ingest-overhead self-gates
@@ -77,119 +75,58 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 echo "==> e2e smoke: bench/e2e/run.py --smoke"
 python3 bench/e2e/run.py --smoke
 
-# Shard-determinism matrix: the sharding refactor must be invisible to
-# the replayed workload. One corpus, one model, three shard counts —
-# the per-segment predictions CSV and the lifecycle accounting line must
-# be byte-identical, and the deterministic metrics must agree modulo the
-# shard-labelled mirrors (which must sum back to the shards=1 totals).
-echo "==> shard determinism: serve-replay at --shards=1/2/8"
-SHARD_OUT="$BUILD_DIR/shard-determinism"
-mkdir -p "$SHARD_OUT"
+# Determinism matrix: serve-replay must be byte-identical at any thread
+# or shard count, with or without continuous training (CT) or the live
+# telemetry plane — registry mutations and telemetry ticks only happen at
+# replay-step barriers, so what gets served is a pure function of the
+# corpus. Every leg runs every config against one shared model, and
+# tools/check_determinism.py checks each run against its leg's t1_s1 run:
+# predictions, the lifecycle/training/telemetry/slo summary lines and the
+# time-series dumps byte for byte, deterministic counters by allowlist,
+# shard mirrors summing to the aggregates. A leg that exercised nothing
+# proves nothing: ct must auto-promote and telemetry must tick.
+echo "==> determinism matrix: {plain, ct, telemetry} x {t1_s1, t8_s1, t1_s2, t1_s8, t8_s8}"
+MODEL_OUT="$BUILD_DIR/ci-model"
+mkdir -p "$MODEL_OUT"
 "$BUILD_DIR"/tools/trajkit features --users=6 --days=2 --seed=42 \
-  --out="$SHARD_OUT/features.csv" >/dev/null
-"$BUILD_DIR"/tools/trajkit train --dataset="$SHARD_OUT/features.csv" \
-  --trees=15 --model="$SHARD_OUT/rf.model" >/dev/null
-for shards in 1 2 8; do
-  "$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
-    --model="$SHARD_OUT/rf.model" --shards="$shards" \
-    --predictions_out="$SHARD_OUT/predictions_s$shards.csv" \
-    --metrics_json="$SHARD_OUT/metrics_s$shards.json" \
-    > "$SHARD_OUT/replay_s$shards.log"
-  grep '^lifecycle:' "$SHARD_OUT/replay_s$shards.log" \
-    > "$SHARD_OUT/lifecycle_s$shards.txt"
-done
-for shards in 2 8; do
-  cmp "$SHARD_OUT/predictions_s1.csv" \
-      "$SHARD_OUT/predictions_s$shards.csv" || {
-    echo "shard determinism: predictions diverge at --shards=$shards" >&2
-    exit 1
-  }
-  diff "$SHARD_OUT/lifecycle_s1.txt" "$SHARD_OUT/lifecycle_s$shards.txt" || {
-    echo "shard determinism: lifecycle accounting diverges at --shards=$shards" >&2
-    exit 1
-  }
-done
-python3 tools/check_shard_metrics.py "$SHARD_OUT/metrics_s1.json" \
-  "$SHARD_OUT/metrics_s2.json" "$SHARD_OUT/metrics_s8.json"
-
-# Continuous-training determinism matrix: with the refit/shadow/promotion
-# loop live (--continuous_training), the replay must STILL be
-# byte-identical at any thread or shard count — registry mutations only
-# happen at replay-step barriers, so which model answers which request is
-# a pure function of the corpus. The training summary line (steps,
-# refits, promotions, final served version) must agree too, and the run
-# must contain at least one auto-promotion or the leg proves nothing.
-echo "==> continuous-training determinism: serve-replay at --threads=1/8 x --shards=1/2/8"
-CT_OUT="$BUILD_DIR/ct-determinism"
-mkdir -p "$CT_OUT"
-CT_FLAGS=(--users=6 --days=2 --seed=42 --model="$SHARD_OUT/rf.model"
-  --continuous_training --step_every=8 --refit_every=16 --min_fit=16
+  --out="$MODEL_OUT/features.csv" >/dev/null
+"$BUILD_DIR"/tools/trajkit train --dataset="$MODEL_OUT/features.csv" \
+  --trees=15 --model="$MODEL_OUT/rf.model" >/dev/null
+REPLAY=("$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42
+  --model="$MODEL_OUT/rf.model")
+CT_FLAGS=(--continuous_training --step_every=8 --refit_every=16 --min_fit=16
   --min_shadow=8 --promote_epsilon=-1 --ct_trees=10 --ct_buffer=256)
-for config in "t1_s1 --threads=1 --shards=1" "t8_s1 --threads=8 --shards=1" \
-              "t1_s2 --threads=1 --shards=2" "t8_s8 --threads=8 --shards=8"; do
-  # shellcheck disable=SC2086
-  set -- $config
-  tag="$1"; shift
-  "$BUILD_DIR"/tools/trajkit serve-replay "${CT_FLAGS[@]}" "$@" \
-    --predictions_out="$CT_OUT/predictions_$tag.csv" \
-    --metrics_json="$CT_OUT/metrics_$tag.json" \
-    > "$CT_OUT/replay_$tag.log"
-  grep '^lifecycle:\|^training:' "$CT_OUT/replay_$tag.log" \
-    > "$CT_OUT/summary_$tag.txt"
-done
-grep -E '^training: .* [1-9][0-9]* promotions' "$CT_OUT/summary_t1_s1.txt" \
-  >/dev/null || {
-    echo "ct determinism: the matrix corpus produced no promotion" >&2
-    exit 1
-  }
-for tag in t8_s1 t1_s2 t8_s8; do
-  cmp "$CT_OUT/predictions_t1_s1.csv" "$CT_OUT/predictions_$tag.csv" || {
-    echo "ct determinism: predictions diverge at $tag" >&2
-    exit 1
-  }
-  diff "$CT_OUT/summary_t1_s1.txt" "$CT_OUT/summary_$tag.txt" || {
-    echo "ct determinism: lifecycle/training summary diverges at $tag" >&2
-    exit 1
-  }
-done
-python3 tools/check_shard_metrics.py "$CT_OUT/metrics_t1_s1.json" \
-  "$CT_OUT/metrics_t1_s2.json" "$CT_OUT/metrics_t8_s8.json"
-
-# Telemetry determinism matrix: the live telemetry plane samples at
-# replay barriers, so the tick-sampled time-series rings and the SLO
-# burn-rate transitions are a pure function of the corpus — the
-# --timeseries_json dump and the slo/telemetry summary lines must be
-# byte-identical at any thread or shard count.
-echo "==> telemetry determinism: serve-replay at --threads=1/8 x --shards=1/8"
-TELE_OUT="$BUILD_DIR/telemetry"
-mkdir -p "$TELE_OUT"
 TELE_SLO='shed:type=ratio,bad=serve.shed_total.queue_full+serve.shed_total.preempted,total=serve.batch_predictor.requests,budget=0.02,fast=4,slow=16'
-for config in "t1_s1 --threads=1 --shards=1" "t8_s1 --threads=8 --shards=1" \
-              "t1_s8 --threads=1 --shards=8" "t8_s8 --threads=8 --shards=8"; do
-  # shellcheck disable=SC2086
-  set -- $config
-  tag="$1"; shift
-  "$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
-    --model="$SHARD_OUT/rf.model" "$@" --tick_every=16 \
-    --slo_spec="$TELE_SLO" \
-    --timeseries_json="$TELE_OUT/timeseries_$tag.json" \
-    > "$TELE_OUT/replay_$tag.log"
-  grep '^telemetry:\|^slo:' "$TELE_OUT/replay_$tag.log" \
-    > "$TELE_OUT/summary_$tag.txt"
-done
-grep -q '^telemetry: [1-9]' "$TELE_OUT/summary_t1_s1.txt" || {
-  echo "telemetry determinism: the replay never ticked" >&2
-  exit 1
-}
-for tag in t8_s1 t1_s8 t8_s8; do
-  cmp "$TELE_OUT/timeseries_t1_s1.json" "$TELE_OUT/timeseries_$tag.json" || {
-    echo "telemetry determinism: time-series dump diverges at $tag" >&2
-    exit 1
-  }
-  diff "$TELE_OUT/summary_t1_s1.txt" "$TELE_OUT/summary_$tag.txt" || {
-    echo "telemetry determinism: slo/telemetry summary diverges at $tag" >&2
-    exit 1
-  }
+for leg in plain ct telemetry; do
+  LEG_OUT="$BUILD_DIR/determinism/$leg"
+  rm -rf "$LEG_OUT"
+  mkdir -p "$LEG_OUT"
+  for config in t1_s1 t8_s1 t1_s2 t1_s8 t8_s8; do
+    threads="${config%_s*}"
+    LEG_FLAGS=()
+    case "$leg" in
+      ct) LEG_FLAGS=("${CT_FLAGS[@]}") ;;
+      telemetry) LEG_FLAGS=(--tick_every=16 --slo_spec="$TELE_SLO"
+                   --timeseries_json="$LEG_OUT/$config.timeseries.json") ;;
+    esac
+    "${REPLAY[@]}" --threads="${threads#t}" --shards="${config#*_s}" \
+      "${LEG_FLAGS[@]}" --predictions_out="$LEG_OUT/$config.predictions.csv" \
+      --metrics_json="$LEG_OUT/$config.metrics.json" > "$LEG_OUT/$config.log"
+    grep -E '^(lifecycle|training|telemetry|slo):' "$LEG_OUT/$config.log" \
+      > "$LEG_OUT/$config.summary.txt"
+  done
+  case "$leg" in
+    ct) grep -qE '^training: .* [1-9][0-9]* promotions' \
+          "$LEG_OUT/t1_s1.summary.txt" || {
+          echo "ct determinism: the matrix corpus produced no promotion" >&2
+          exit 1
+        } ;;
+    telemetry) grep -q '^telemetry: [1-9]' "$LEG_OUT/t1_s1.summary.txt" || {
+          echo "telemetry determinism: the replay never ticked" >&2
+          exit 1
+        } ;;
+  esac
+  python3 tools/check_determinism.py "$LEG_OUT"
 done
 
 # Scrape smoke: a lingering serve-replay serves the frozen post-run
@@ -198,17 +135,18 @@ done
 # exposition-format lint, and /quitquitquit ends the process cleanly —
 # no signals, no sleeps against a moving target.
 echo "==> scrape smoke: serve-replay --http_port=0 --http_linger"
-"$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
-  --model="$SHARD_OUT/rf.model" --tick_every=16 --slo_spec="$TELE_SLO" \
+SCRAPE_OUT="$BUILD_DIR/scrape-smoke"
+mkdir -p "$SCRAPE_OUT"
+"${REPLAY[@]}" --tick_every=16 --slo_spec="$TELE_SLO" \
   --http_port=0 --http_linger \
-  --metrics_prom="$TELE_OUT/metrics.prom" \
-  --timeseries_json="$TELE_OUT/timeseries.json" \
-  > "$TELE_OUT/http.log" 2>&1 &
+  --metrics_prom="$SCRAPE_OUT/metrics.prom" \
+  --timeseries_json="$SCRAPE_OUT/timeseries.json" \
+  > "$SCRAPE_OUT/http.log" 2>&1 &
 SERVE_PID=$!
 PORT=""
 for _ in $(seq 1 200); do
   PORT=$(sed -n 's/^http: lingering on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-    "$TELE_OUT/http.log" | head -1)
+    "$SCRAPE_OUT/http.log" | head -1)
   [[ -n "$PORT" ]] && break
   sleep 0.1
 done
@@ -222,15 +160,15 @@ scrape() {
 with urllib.request.urlopen(sys.argv[1]) as response:
     sys.stdout.buffer.write(response.read())' "http://127.0.0.1:$PORT$1"
 }
-scrape /metrics > "$TELE_OUT/scrape_metrics.prom"
-cmp "$TELE_OUT/metrics.prom" "$TELE_OUT/scrape_metrics.prom" || {
+scrape /metrics > "$SCRAPE_OUT/scrape_metrics.prom"
+cmp "$SCRAPE_OUT/metrics.prom" "$SCRAPE_OUT/scrape_metrics.prom" || {
   echo "scrape smoke: /metrics differs from the --metrics_prom file" >&2
   exit 1
 }
-python3 tools/check_prom.py "$TELE_OUT/metrics.prom" \
-  "$TELE_OUT/scrape_metrics.prom"
-scrape /timeseries.json > "$TELE_OUT/scrape_timeseries.json"
-cmp "$TELE_OUT/timeseries.json" "$TELE_OUT/scrape_timeseries.json" || {
+python3 tools/check_prom.py "$SCRAPE_OUT/metrics.prom" \
+  "$SCRAPE_OUT/scrape_metrics.prom"
+scrape /timeseries.json > "$SCRAPE_OUT/scrape_timeseries.json"
+cmp "$SCRAPE_OUT/timeseries.json" "$SCRAPE_OUT/scrape_timeseries.json" || {
   echo "scrape smoke: /timeseries.json differs from the --timeseries_json file" >&2
   exit 1
 }
@@ -239,12 +177,12 @@ scrape /healthz | grep -qx ok || {
   exit 1
 }
 scrape /metrics.json | python3 -c 'import json, sys; json.load(sys.stdin)'
-scrape /statusz > "$TELE_OUT/scrape_statusz.txt"
-grep -q '^slo$' "$TELE_OUT/scrape_statusz.txt" || {
+scrape /statusz > "$SCRAPE_OUT/scrape_statusz.txt"
+grep -q '^slo$' "$SCRAPE_OUT/scrape_statusz.txt" || {
   echo "scrape smoke: /statusz lost its slo section" >&2
   exit 1
 }
-grep -q '^timeseries$' "$TELE_OUT/scrape_statusz.txt" || {
+grep -q '^timeseries$' "$SCRAPE_OUT/scrape_statusz.txt" || {
   echo "scrape smoke: /statusz lost its timeseries section" >&2
   exit 1
 }
@@ -269,18 +207,12 @@ echo "scrape smoke: ok (port $PORT)"
 echo "==> chaos smoke: serve-replay under --fault_spec at --shards=1/8"
 CHAOS_OUT="$BUILD_DIR/chaos-smoke"
 mkdir -p "$CHAOS_OUT"
-"$BUILD_DIR"/tools/trajkit features --users=6 --days=2 --seed=42 \
-  --out="$CHAOS_OUT/features.csv" >/dev/null
-"$BUILD_DIR"/tools/trajkit train --dataset="$CHAOS_OUT/features.csv" \
-  --trees=15 --model="$CHAOS_OUT/rf.model" >/dev/null
 for shards in 1 8; do
   TRACE_ARGS=()
   if [[ "$shards" == 1 ]]; then
     TRACE_ARGS=(--trace_json="$CHAOS_OUT/trace.json")
   fi
-  "$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
-    --model="$CHAOS_OUT/rf.model" --shards="$shards" \
-    --deadline_ms=100 --max_queue=16 --retries=2 \
+  "${REPLAY[@]}" --shards="$shards" --deadline_ms=100 --max_queue=16 --retries=2 \
     --fault_spec="swap_stall:p=0.2,latency_ms=5;predict_fail:p=0.2;batch_delay:p=0.3,latency_ms=2;seed=3" \
     --metrics_json="$CHAOS_OUT/metrics_s$shards.json" "${TRACE_ARGS[@]}" \
     | tee "$CHAOS_OUT/replay_s$shards.log"
@@ -324,9 +256,7 @@ python3 tools/check_trace.py "$CHAOS_OUT/trace.json" \
 echo "==> shadow promotion smoke: --continuous_training under --fault_spec"
 CTP_OUT="$BUILD_DIR/ct-promotion"
 mkdir -p "$CTP_OUT"
-"$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
-  --model="$CHAOS_OUT/rf.model" --shards=2 \
-  --continuous_training --step_every=8 --refit_every=16 --min_fit=16 \
+"${REPLAY[@]}" --shards=2 --continuous_training --step_every=8 --refit_every=16 --min_fit=16 \
   --min_shadow=4 --promote_epsilon=-1 --ct_trees=10 --ct_buffer=256 \
   --deadline_ms=100 --max_queue=16 --retries=2 \
   --fault_spec="predict_fail:p=0.1;batch_delay:p=0.2,latency_ms=1;seed=3" \

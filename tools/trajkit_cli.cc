@@ -54,8 +54,8 @@
 //       offline pipeline on identically-segmented data. --shards=N routes
 //       users onto N independent serving shards (sessions + micro-batch
 //       queue per shard, hash(user_id) routing); the replay output is
-//       byte-identical at any shard count, which the CI shard-determinism
-//       matrix enforces. --predictions_out writes the per-segment
+//       byte-identical at any thread or shard count, which the CI
+//       determinism matrix enforces. --predictions_out writes the per-segment
 //       true/predicted classes (close order) as CSV — the artifact that
 //       matrix diffs. --deadline_ms
 //       attaches a per-request deadline, --max_queue bounds the predictor
@@ -107,15 +107,14 @@
 //   trajkit query     --store=FILE [--bbox=MINLAT,MINLON,MAXLAT,MAXLON]
 //                     [--time=BEGIN,END] [--mode=walk,bus,...]
 //                     [--user=ID] [--hotspots=CELL_DEG] [--k=10]
-//                     [--str] [--oracle] [--limit=20]
+//                     [--oracle] [--limit=20]
 //       Answer spatio-temporal queries over a trajectory store written by
 //       `serve-replay --store_out` (src/store/): the default is a
 //       bbox/time/mode scan through the bulk-loaded spatial index,
 //       --user lists one user's history, and --hotspots aggregates the
 //       top-k cells of a uniform CELL_DEG-degree grid. --oracle re-runs
 //       the query through the brute-force scan and fails unless both
-//       answers are byte-identical; --str packs the index with
-//       Sort-Tile-Recursive instead of the Hilbert curve.
+//       answers are byte-identical.
 //
 //   trajkit statusz   [--users=N] [--days=D] [--seed=S] [--trees=T]
 //                     [--shards=2]
@@ -605,8 +604,8 @@ int RunServeReplay(const Flags& flags) {
   }
 
   // --predictions_out: the per-segment true/predicted classes in close
-  // order — the byte-comparable artifact of the CI shard-determinism
-  // matrix (identical at any --shards value).
+  // order — a byte-comparable artifact of the CI determinism matrix
+  // (identical at any --threads/--shards value).
   const std::string predictions_out = flags.GetString("predictions_out", "");
   if (!predictions_out.empty()) {
     CsvTable table;
@@ -733,11 +732,7 @@ int RunQuery(const Flags& flags) {
     std::fprintf(stderr, "query: --store=FILE is required\n");
     return 2;
   }
-  store::TrajectoryStoreOptions store_options;
-  if (flags.Has("str")) {
-    store_options.strategy = store::BulkLoadStrategy::kStr;
-  }
-  store::TrajectoryStore trajectory_store(store_options);
+  store::TrajectoryStore trajectory_store;
   {
     const Status status = trajectory_store.Load(store_path);
     if (!status.ok()) return Fail(status, "store load");
