@@ -1,13 +1,12 @@
 // Microbenchmarks for the ML substrate: tree/forest training and
 // prediction throughput on trajectory-feature-shaped data (70 columns),
-// plus the flat-vs-pointer forest inference comparison and the point
-// feature kernels. With --timing_json=<path> a fixed gate workload runs
+// plus the one-pass labels+probabilities kernel and the point feature
+// kernels. With --timing_json=<path> a fixed gate workload runs
 // after the google-benchmarks and emits the phase timings consumed by
 // tools/check_bench.py (the micro_ml artifact in BENCH_baseline.json).
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <vector>
 
 #include "bench_common.h"
@@ -18,7 +17,6 @@
 #include "obs/timeseries.h"
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
-#include "ml/flat_forest.h"
 #include "ml/gradient_boosting.h"
 #include "ml/random_forest.h"
 #include "traj/point_features.h"
@@ -78,6 +76,8 @@ void BM_RandomForestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomForestFit)->Arg(10)->Arg(50);
 
+// Fit compiles the flat form, so every forest predict runs the SoA pool
+// and its cohort descent.
 void BM_RandomForestPredict(benchmark::State& state) {
   const Dataset ds = SyntheticFeatures(2048, 70, 5, 3);
   RandomForestParams params;
@@ -91,30 +91,13 @@ void BM_RandomForestPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomForestPredict);
 
-// Same fitted forest, compiled flat form (SoA pool, cohort descent).
-void BM_FlatForestPredict(benchmark::State& state) {
-  const Dataset ds = SyntheticFeatures(2048, 70, 5, 3);
-  RandomForestParams params;
-  params.n_estimators = 50;
-  RandomForest forest(params);
-  (void)forest.Fit(ds);
-  (void)forest.CompileFlat();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.Predict(ds.features()));
-  }
-  state.SetItemsProcessed(state.iterations() * 2048);
-}
-BENCHMARK(BM_FlatForestPredict);
-
-// Single-row (serving-shaped) predicts, pointer walk vs compiled form:
-// Arg(0) = pointer, Arg(1) = flat.
+// Single-row (serving-shaped) predicts.
 void BM_ForestPredictSingleRow(benchmark::State& state) {
   const Dataset ds = SyntheticFeatures(1024, 70, 5, 3);
   RandomForestParams params;
   params.n_estimators = 50;
   RandomForest forest(params);
   (void)forest.Fit(ds);
-  if (state.range(0) == 1) (void)forest.CompileFlat();
   size_t r = 0;
   for (auto _ : state) {
     const std::span<const double> row = ds.features().Row(r);
@@ -125,7 +108,7 @@ void BM_ForestPredictSingleRow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ForestPredictSingleRow)->Arg(0)->Arg(1);
+BENCHMARK(BM_ForestPredictSingleRow);
 
 // The serving predict: labels and probabilities for a batch of
 // range(0) rows, Arg(1)=0 as the two separate calls (two descents per row
@@ -138,7 +121,6 @@ void BM_FlatPredictWithProba(benchmark::State& state) {
   params.n_estimators = 50;
   RandomForest forest(params);
   (void)forest.Fit(ds);
-  (void)forest.CompileFlat();
   const size_t rows = static_cast<size_t>(state.range(0));
   const bool one_pass = state.range(1) == 1;
   ml::Matrix batch(rows, ds.num_features());
@@ -177,36 +159,25 @@ void BM_GradientBoostingFit(benchmark::State& state) {
 BENCHMARK(BM_GradientBoostingFit)->Arg(10)->Arg(30);
 
 /// Fixed-size gate workload behind --timing_json: the paper's 50-tree
-/// forest fit, flat vs pointer forest inference (batched and single-row),
-/// the one-pass labels+probabilities kernel vs the two separate calls,
-/// plus the point-feature kernels, as wall-clock phases
+/// forest fit (its flat compile included), forest inference (batched and
+/// single-row), the one-pass labels+probabilities kernel vs the two
+/// separate calls, plus the point-feature kernels, as wall-clock phases
 /// tools/check_bench.py tracks against BENCH_baseline.json.
 /// The CI leg runs it with --threads=1 and a benchmark filter matching
 /// nothing, so the phases are the entire measured work.
 int RunTimingGate(const trajkit::HarnessOptions& harness) {
   using trajkit::Stopwatch;
   constexpr size_t kRows = 2048;
-  constexpr int kBatchReps = 3;
-  // The flat batch is several times faster, so it gets more reps to keep
-  // its measured phase comfortably above scheduler noise.
-  constexpr int kFlatBatchReps = 10;
+  // Ten reps keep each batched phase comfortably above scheduler noise.
+  constexpr int kBatchReps = 10;
 
   const Dataset ds = SyntheticFeatures(kRows, 70, 5, 3);
   RandomForestParams params;
   params.n_estimators = 50;
-  RandomForest pointer(params);
+  RandomForest forest(params);
   Stopwatch fit_watch;
-  if (!pointer.Fit(ds).ok()) return 1;
+  if (!forest.Fit(ds).ok()) return 1;
   const double fit_forest_s = fit_watch.ElapsedSeconds();
-  RandomForest flat = pointer;
-  if (!flat.CompileFlat().ok()) return 1;
-
-  // The comparison is only meaningful if both forms answer identically.
-  if (pointer.Predict(ds.features()) != flat.Predict(ds.features())) {
-    std::fprintf(stderr,
-                 "micro_ml: flat forest diverged from the pointer walk\n");
-    return 1;
-  }
 
   // main() owns the metric-artifact dumps; this emitter only writes timings.
   trajkit::HarnessOptions timing_only = harness;
@@ -217,29 +188,17 @@ int RunTimingGate(const trajkit::HarnessOptions& harness) {
   timing.Record("fit_forest_s", fit_forest_s);
   Stopwatch watch;
   for (int i = 0; i < kBatchReps; ++i) {
-    benchmark::DoNotOptimize(pointer.Predict(ds.features()));
-  }
-  timing.Record("predict_pointer_batch_s",
-                watch.ElapsedSeconds() / kBatchReps);
-  watch.Reset();
-  for (int i = 0; i < kFlatBatchReps; ++i) {
-    benchmark::DoNotOptimize(flat.Predict(ds.features()));
+    benchmark::DoNotOptimize(forest.Predict(ds.features()));
   }
   timing.Record("predict_flat_batch_s",
-                watch.ElapsedSeconds() / kFlatBatchReps);
+                watch.ElapsedSeconds() / kBatchReps);
 
   ml::Matrix one(1, ds.num_features());
   watch.Reset();
   for (size_t r = 0; r < kRows; ++r) {
     const std::span<const double> row = ds.features().Row(r);
     std::copy(row.begin(), row.end(), one.MutableRow(0).begin());
-    benchmark::DoNotOptimize(pointer.Predict(one));
-  }
-  timing.RecordLap("predict_pointer_single_s", watch);
-  for (size_t r = 0; r < kRows; ++r) {
-    const std::span<const double> row = ds.features().Row(r);
-    std::copy(row.begin(), row.end(), one.MutableRow(0).begin());
-    benchmark::DoNotOptimize(flat.Predict(one));
+    benchmark::DoNotOptimize(forest.Predict(one));
   }
   timing.RecordLap("predict_flat_single_s", watch);
 
@@ -248,33 +207,33 @@ int RunTimingGate(const trajkit::HarnessOptions& harness) {
   // then row by row (the shape a lightly loaded predictor sees).
   std::vector<int> labels;
   ml::Matrix probabilities;
-  for (int i = 0; i < kFlatBatchReps; ++i) {
-    benchmark::DoNotOptimize(flat.Predict(ds.features()));
-    benchmark::DoNotOptimize(flat.PredictProba(ds.features()));
+  for (int i = 0; i < kBatchReps; ++i) {
+    benchmark::DoNotOptimize(forest.Predict(ds.features()));
+    benchmark::DoNotOptimize(forest.PredictProba(ds.features()));
   }
   timing.Record("predict_proba_two_pass_batch_s",
-                watch.ElapsedSeconds() / kFlatBatchReps);
+                watch.ElapsedSeconds() / kBatchReps);
   watch.Reset();
-  for (int i = 0; i < kFlatBatchReps; ++i) {
-    if (!flat.PredictWithProba(ds.features(), &labels, &probabilities).ok()) {
+  for (int i = 0; i < kBatchReps; ++i) {
+    if (!forest.PredictWithProba(ds.features(), &labels, &probabilities).ok()) {
       return 1;
     }
     benchmark::DoNotOptimize(labels.data());
   }
   timing.Record("predict_proba_one_pass_batch_s",
-                watch.ElapsedSeconds() / kFlatBatchReps);
+                watch.ElapsedSeconds() / kBatchReps);
   watch.Reset();
   for (size_t r = 0; r < kRows; ++r) {
     const std::span<const double> row = ds.features().Row(r);
     std::copy(row.begin(), row.end(), one.MutableRow(0).begin());
-    benchmark::DoNotOptimize(flat.Predict(one));
-    benchmark::DoNotOptimize(flat.PredictProba(one));
+    benchmark::DoNotOptimize(forest.Predict(one));
+    benchmark::DoNotOptimize(forest.PredictProba(one));
   }
   timing.RecordLap("predict_proba_two_pass_single_s", watch);
   for (size_t r = 0; r < kRows; ++r) {
     const std::span<const double> row = ds.features().Row(r);
     std::copy(row.begin(), row.end(), one.MutableRow(0).begin());
-    if (!flat.PredictWithProba(one, &labels, &probabilities).ok()) return 1;
+    if (!forest.PredictWithProba(one, &labels, &probabilities).ok()) return 1;
     benchmark::DoNotOptimize(labels.data());
   }
   timing.RecordLap("predict_proba_one_pass_single_s", watch);

@@ -95,8 +95,9 @@ class DecisionTree final : public Classifier {
   int num_classes() const { return num_classes_; }
   bool fitted() const { return !nodes_.empty(); }
 
-  /// Leaf class distribution for one sample (used by RandomForest's
-  /// probability averaging). Precondition: fitted.
+  /// Leaf class distribution for one sample (the pointer walk behind
+  /// Predict, AdaBoost's votes and the forest tests' parity oracle).
+  /// Precondition: fitted.
   std::span<const double> LeafDistribution(std::span<const double> row) const;
 
   /// Appends a line-based text serialization of the fitted tree to `out`

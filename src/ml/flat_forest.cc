@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -68,27 +69,27 @@ class BlockVotes {
   double* data_ = stack_;
 };
 
+/// FNV-1a over the raw double bits: deterministic across runs (no
+/// pointer/seed inputs), which keeps the dedup probe order — though not the
+/// table layout, which follows insertion order — reproducible.
+struct DistributionHash {
+  size_t operator()(const std::vector<double>& dist) const {
+    uint64_t hash = 1469598103934665603ull;
+    for (const double value : dist) {
+      uint64_t bits;
+      std::memcpy(&bits, &value, sizeof(bits));
+      for (int shift = 0; shift < 64; shift += 8) {
+        hash ^= (bits >> shift) & 0xffu;
+        hash *= 1099511628211ull;
+      }
+    }
+    return static_cast<size_t>(hash);
+  }
+};
+
 }  // namespace
 
-size_t FlatForestScratch::DistributionHash::operator()(
-    const std::vector<double>& dist) const {
-  // FNV-1a over the raw double bits: deterministic across runs (no
-  // pointer/seed inputs), which keeps the dedup probe order — though not
-  // the table layout, which follows insertion order — reproducible.
-  uint64_t hash = 1469598103934665603ull;
-  for (const double value : dist) {
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    for (int shift = 0; shift < 64; shift += 8) {
-      hash ^= (bits >> shift) & 0xffu;
-      hash *= 1099511628211ull;
-    }
-  }
-  return static_cast<size_t>(hash);
-}
-
-Result<FlatForest> FlatForest::Compile(const RandomForest& forest,
-                                       FlatForestScratch* scratch) {
+Result<FlatForest> FlatForest::Compile(const RandomForest& forest) {
   if (!forest.fitted()) {
     return Status::FailedPrecondition(
         "FlatForest::Compile requires a fitted forest");
@@ -112,14 +113,10 @@ Result<FlatForest> FlatForest::Compile(const RandomForest& forest,
 
   // Leaves across ALL trees fold into one shared distribution table;
   // identical distributions (pure leaves are overwhelmingly common) are
-  // stored once. The dedup map (and the BFS arrays below) live in the
-  // caller's scratch when one is supplied, so repeated compiles — the
-  // continuous trainer recompiles a candidate per refit — reuse the
-  // node/bucket allocations instead of rebuilding them.
-  FlatForestScratch local_scratch;
-  FlatForestScratch& ws = scratch != nullptr ? *scratch : local_scratch;
-  ws.dedup.clear();
-  auto& dedup = ws.dedup;
+  // stored once.
+  std::unordered_map<std::vector<double>, int32_t, DistributionHash> dedup;
+  std::vector<int32_t> bfs;
+  std::vector<int32_t> pos;
 
   for (const DecisionTree& tree : forest.trees()) {
     const std::vector<DecisionTree::Node>& nodes = tree.nodes();
@@ -130,10 +127,8 @@ Result<FlatForest> FlatForest::Compile(const RandomForest& forest,
     // Breadth-first renumbering: children are pushed as a consecutive
     // pair, so in the flat order right = left + 1 and descent needs only
     // the left offset plus the comparison bit.
-    std::vector<int32_t>& bfs = ws.bfs;
     bfs.clear();
     bfs.reserve(nodes.size());
-    std::vector<int32_t>& pos = ws.pos;
     pos.assign(nodes.size(), -1);
     bfs.push_back(0);
     pos[0] = 0;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -11,21 +10,6 @@
 #include "ml/random_forest.h"
 
 namespace trajkit::ml {
-
-/// Reusable compile workspace: the leaf-distribution dedup table and the
-/// per-tree BFS renumbering arrays keep their allocations across compiles,
-/// so callers that recompile periodically (the continuous trainer lowers
-/// every refit candidate) don't rebuild the maps from scratch each time.
-/// Purely an allocation cache — compiled output is bit-identical with or
-/// without one. Not thread-safe; use one scratch per compiling thread.
-struct FlatForestScratch {
-  struct DistributionHash {
-    size_t operator()(const std::vector<double>& dist) const;
-  };
-  std::unordered_map<std::vector<double>, int32_t, DistributionHash> dedup;
-  std::vector<int32_t> bfs;
-  std::vector<int32_t> pos;
-};
 
 /// Size/shape summary of a compiled forest (statusz, bench reporting).
 struct FlatForestStats {
@@ -49,22 +33,24 @@ struct FlatForestStats {
 /// with no per-row termination test. Leaf class distributions are folded
 /// into one shared, deduplicated table (`dist_offset` indexes it).
 ///
-/// The flat form predicts bit-identically to the pointer walk: per row,
-/// leaf distributions are accumulated in tree order with the same
-/// double-precision adds, so Predict/PredictProba agree to the last bit at
-/// any thread count.
+/// The flat form predicts bit-identically to a per-row pointer walk over
+/// the trees (DecisionTree::LeafDistribution): per row, leaf distributions
+/// are accumulated in tree order with the same double-precision adds, so
+/// Predict/PredictProba agree with it to the last bit at any thread count.
+/// tests/forest_oracle.h keeps that walk as the parity reference.
 class FlatForest {
  public:
-  /// Lowers a fitted forest; errors when the forest is unfitted. A non-null
-  /// `scratch` lends its allocations to the compile (see FlatForestScratch).
-  static Result<FlatForest> Compile(const RandomForest& forest,
-                                    FlatForestScratch* scratch = nullptr);
+  /// Lowers a fitted forest; errors when the forest is unfitted.
+  /// RandomForest::Fit and RandomForest::Deserialize call it as their last
+  /// step, so every fitted forest carries its flat form.
+  static Result<FlatForest> Compile(const RandomForest& forest);
 
-  /// Soft-voting argmax per row; bit-identical to RandomForest::Predict's
-  /// pointer walk. Parallelizes over row blocks.
+  /// Soft-voting argmax per row over the raw vote sums. Parallelizes over
+  /// row blocks.
   std::vector<int> Predict(const Matrix& features) const;
 
-  /// Per-class probabilities; bit-identical to RandomForest::PredictProba.
+  /// Per-class probabilities: each tree's leaf distribution scaled by
+  /// 1/num_trees and summed in tree order.
   Matrix PredictProba(const Matrix& features) const;
 
   /// Predict and PredictProba from one descent per row and tree: the leaf

@@ -1,5 +1,8 @@
 #include "ml/model_io.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/csv.h"
 #include "common/strings.h"
 
@@ -42,6 +45,17 @@ Result<std::vector<double>> ParseDoubles(std::string_view line,
         "expected %zu numeric fields, got %zu", expected, out.size()));
   }
   return out;
+}
+
+/// ParseInt64 narrowed to int: a value outside int's range is a
+/// ParseError, not a silent wrap into a valid-looking index.
+Result<int> ParseInt32(std::string_view field) {
+  TRAJKIT_ASSIGN_OR_RETURN(long long v, ParseInt64(field));
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return Status::ParseError(StrPrintf("integer %lld out of range", v));
+  }
+  return static_cast<int>(v);
 }
 
 Result<std::string_view> NextLine(const std::vector<std::string_view>& lines,
@@ -89,10 +103,8 @@ Result<DecisionTree> DecisionTree::DeserializeBlock(
     if (fields.size() != 3 || fields[0] != "tree") {
       return Status::ParseError("bad tree header");
     }
-    TRAJKIT_ASSIGN_OR_RETURN(long long classes, ParseInt64(fields[1]));
-    TRAJKIT_ASSIGN_OR_RETURN(long long depth, ParseInt64(fields[2]));
-    tree.num_classes_ = static_cast<int>(classes);
-    tree.depth_ = static_cast<int>(depth);
+    TRAJKIT_ASSIGN_OR_RETURN(tree.num_classes_, ParseInt32(fields[1]));
+    TRAJKIT_ASSIGN_OR_RETURN(tree.depth_, ParseInt32(fields[2]));
     if (tree.num_classes_ <= 0) {
       return Status::ParseError("tree must have positive class count");
     }
@@ -106,6 +118,11 @@ Result<DecisionTree> DecisionTree::DeserializeBlock(
       return Status::ParseError("bad nodes header");
     }
     TRAJKIT_ASSIGN_OR_RETURN(long long count, ParseInt64(fields[1]));
+    // One line per node: a count the file cannot hold is an error here,
+    // not a huge reserve.
+    if (count < 0 || static_cast<size_t>(count) > lines.size() - cursor) {
+      return Status::ParseError("node count exceeds the model file");
+    }
     tree.nodes_.reserve(static_cast<size_t>(count));
     for (long long i = 0; i < count; ++i) {
       TRAJKIT_ASSIGN_OR_RETURN(std::string_view line,
@@ -113,16 +130,11 @@ Result<DecisionTree> DecisionTree::DeserializeBlock(
       const auto f = SplitString(line, ' ');
       if (f.size() != 5) return Status::ParseError("bad node line");
       Node node;
-      TRAJKIT_ASSIGN_OR_RETURN(long long feature, ParseInt64(f[0]));
-      TRAJKIT_ASSIGN_OR_RETURN(double threshold, ParseDouble(f[1]));
-      TRAJKIT_ASSIGN_OR_RETURN(long long left, ParseInt64(f[2]));
-      TRAJKIT_ASSIGN_OR_RETURN(long long right, ParseInt64(f[3]));
-      TRAJKIT_ASSIGN_OR_RETURN(long long dist, ParseInt64(f[4]));
-      node.feature = static_cast<int>(feature);
-      node.threshold = threshold;
-      node.left = static_cast<int>(left);
-      node.right = static_cast<int>(right);
-      node.distribution = static_cast<int>(dist);
+      TRAJKIT_ASSIGN_OR_RETURN(node.feature, ParseInt32(f[0]));
+      TRAJKIT_ASSIGN_OR_RETURN(node.threshold, ParseDouble(f[1]));
+      TRAJKIT_ASSIGN_OR_RETURN(node.left, ParseInt32(f[2]));
+      TRAJKIT_ASSIGN_OR_RETURN(node.right, ParseInt32(f[3]));
+      TRAJKIT_ASSIGN_OR_RETURN(node.distribution, ParseInt32(f[4]));
       tree.nodes_.push_back(node);
     }
   }
@@ -165,19 +177,68 @@ Result<DecisionTree> DecisionTree::DeserializeBlock(
     tree.importances_ = std::move(imp);
   }
 
-  // Structural validation: child/distribution indices in range.
-  const int node_count = static_cast<int>(tree.nodes_.size());
-  const int dist_count = static_cast<int>(tree.leaf_distributions_.size());
+  // Structural validation, so the compile and both descents only ever
+  // see a well-formed tree: walking from node 0 must reach every node
+  // exactly once (no cycle, no child shared by two parents, no unreachable
+  // node), a split must read a column inside the importance width, a leaf
+  // must name a stored distribution, and the header depth must be the
+  // structure's (the flat form descends exactly that many levels).
+  const size_t node_count = tree.nodes_.size();
   if (node_count == 0) return Status::ParseError("tree has no nodes");
-  for (const Node& node : tree.nodes_) {
-    if (node.feature >= 0) {
-      if (node.left < 0 || node.left >= node_count || node.right < 0 ||
-          node.right >= node_count) {
-        return Status::ParseError("node child index out of range");
-      }
-    } else if (node.distribution < 0 || node.distribution >= dist_count) {
-      return Status::ParseError("leaf distribution index out of range");
+  const size_t dist_count = tree.leaf_distributions_.size();
+  const size_t width = tree.importances_.size();
+  std::vector<int> node_depth(node_count, -1);
+  std::vector<size_t> frontier = {0};
+  node_depth[0] = 0;
+  int depth = 0;
+  while (!frontier.empty()) {
+    const size_t index = frontier.back();
+    frontier.pop_back();
+    const Node& node = tree.nodes_[index];
+    depth = std::max(depth, node_depth[index]);
+    if (node.feature < -1) {
+      return Status::ParseError(StrPrintf(
+          "node %zu: feature %d is neither a column nor -1 (leaf)", index,
+          node.feature));
     }
+    if (node.feature == -1) {
+      if (node.distribution < 0 ||
+          static_cast<size_t>(node.distribution) >= dist_count) {
+        return Status::ParseError(StrPrintf(
+            "leaf %zu: distribution %d out of range [0, %zu)", index,
+            node.distribution, dist_count));
+      }
+      continue;
+    }
+    if (static_cast<size_t>(node.feature) >= width) {
+      return Status::ParseError(StrPrintf(
+          "node %zu splits on feature %d but the tree has %zu features",
+          index, node.feature, width));
+    }
+    for (const int child : {node.left, node.right}) {
+      if (child < 0 || static_cast<size_t>(child) >= node_count) {
+        return Status::ParseError(StrPrintf(
+            "node %zu: child %d out of range [0, %zu)", index, child,
+            node_count));
+      }
+      if (node_depth[static_cast<size_t>(child)] >= 0) {
+        return Status::ParseError(StrPrintf(
+            "node graph is not a tree: node %d is reached twice", child));
+      }
+      node_depth[static_cast<size_t>(child)] = node_depth[index] + 1;
+      frontier.push_back(static_cast<size_t>(child));
+    }
+  }
+  const auto unreached = std::find(node_depth.begin(), node_depth.end(), -1);
+  if (unreached != node_depth.end()) {
+    return Status::ParseError(StrPrintf(
+        "node graph is not a tree: node %td is unreachable from the root",
+        unreached - node_depth.begin()));
+  }
+  if (depth != tree.depth_) {
+    return Status::ParseError(StrPrintf(
+        "tree header says depth %d but its nodes are %d deep", tree.depth_,
+        depth));
   }
   return tree;
 }
@@ -306,6 +367,7 @@ Result<RandomForest> RandomForest::Deserialize(std::string_view text) {
       for (double& v : forest.importances_) v /= total;
     }
   }
+  TRAJKIT_RETURN_IF_ERROR(forest.CompileTrees());
   return forest;
 }
 

@@ -51,7 +51,7 @@ Status RandomForest::Fit(const Dataset& train) {
   }
   num_classes_ = train.num_classes();
   trees_.clear();
-  flat_.reset();  // A refit invalidates any compiled inference form.
+  flat_.reset();  // A failed refit leaves an unfitted forest.
   importances_.assign(train.num_features(), 0.0);
   // One rank table serves every tree: a bootstrap reweights rows but
   // never changes a value. The trees only read it.
@@ -118,6 +118,12 @@ Status RandomForest::Fit(const Dataset& train) {
   if (total > 0.0) {
     for (double& v : importances_) v /= total;
   }
+  return CompileTrees();
+}
+
+Status RandomForest::CompileTrees() {
+  TRAJKIT_ASSIGN_OR_RETURN(FlatForest flat, FlatForest::Compile(*this));
+  flat_ = std::make_shared<const FlatForest>(std::move(flat));
   return Status::Ok();
 }
 
@@ -130,41 +136,14 @@ std::vector<int> RandomForest::Predict(const Matrix& features) const {
   metrics.rows_predicted.Increment(features.rows());
   std::optional<obs::ScopedTimer> timer;
   if (features.rows() >= 64) timer.emplace(metrics.predict_seconds);
-  // The compiled flat form accumulates the same leaf distributions in the
-  // same tree order per row, so delegating is bit-identical (see
-  // tests/ml_flat_forest_test.cc golden parity).
-  if (flat_ != nullptr) return flat_->Predict(features);
-  std::vector<int> out(features.rows());
-  // Rows are independent; each writes only its own output slot.
-  const Status status = ParallelFor(0, features.rows(), 16, [&](size_t r) {
-    std::vector<double> acc(static_cast<size_t>(num_classes_), 0.0);
-    const std::span<const double> row = features.Row(r);
-    for (const DecisionTree& tree : trees_) {
-      const std::span<const double> dist = tree.LeafDistribution(row);
-      for (size_t c = 0; c < acc.size(); ++c) acc[c] += dist[c];
-    }
-    out[r] = static_cast<int>(std::max_element(acc.begin(), acc.end()) -
-                              acc.begin());
-  });
-  TRAJKIT_CHECK(status.ok()) << status.ToString();
-  return out;
+  return flat_->Predict(features);
 }
 
 Result<Matrix> RandomForest::PredictProba(const Matrix& features) const {
   if (!fitted()) {
     return Status::FailedPrecondition("PredictProba before Fit");
   }
-  if (flat_ != nullptr) return flat_->PredictProba(features);
-  Matrix probs(features.rows(), static_cast<size_t>(num_classes_));
-  const double inv = 1.0 / static_cast<double>(trees_.size());
-  TRAJKIT_RETURN_IF_ERROR(ParallelFor(0, features.rows(), 16, [&](size_t r) {
-    const std::span<const double> row = features.Row(r);
-    for (const DecisionTree& tree : trees_) {
-      const std::span<const double> dist = tree.LeafDistribution(row);
-      for (size_t c = 0; c < dist.size(); ++c) probs(r, c) += dist[c] * inv;
-    }
-  }));
-  return probs;
+  return flat_->PredictProba(features);
 }
 
 Status RandomForest::PredictWithProba(const Matrix& features,
@@ -172,11 +151,6 @@ Status RandomForest::PredictWithProba(const Matrix& features,
                                       Matrix* probabilities) const {
   if (!fitted()) {
     return Status::FailedPrecondition("PredictWithProba before Fit");
-  }
-  if (flat_ == nullptr) {
-    *labels = Predict(features);
-    TRAJKIT_ASSIGN_OR_RETURN(*probabilities, PredictProba(features));
-    return Status::Ok();
   }
   // Same instrumentation as Predict: the rows count once, and only
   // batches worth a clock read are timed.
@@ -193,16 +167,6 @@ Status RandomForest::PredictWithProba(const Matrix& features,
 
 std::unique_ptr<Classifier> RandomForest::Clone() const {
   return std::make_unique<RandomForest>(params_);
-}
-
-Status RandomForest::CompileFlat(FlatForestScratch* scratch) {
-  if (!fitted()) {
-    return Status::FailedPrecondition("CompileFlat before Fit");
-  }
-  TRAJKIT_ASSIGN_OR_RETURN(FlatForest flat,
-                           FlatForest::Compile(*this, scratch));
-  flat_ = std::make_shared<const FlatForest>(std::move(flat));
-  return Status::Ok();
 }
 
 const std::vector<double>& RandomForest::FeatureImportances() const {

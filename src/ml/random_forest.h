@@ -10,7 +10,6 @@
 namespace trajkit::ml {
 
 class FlatForest;
-struct FlatForestScratch;
 
 /// Hyper-parameters of the random forest. Defaults follow the paper's
 /// §4.3 setting ("random forest classifier with 50 estimators", sklearn
@@ -32,8 +31,10 @@ struct RandomForestParams {
 
 /// Bagged ensemble of CART trees with per-node feature subsetting.
 /// Prediction averages the trees' leaf class distributions (sklearn's
-/// soft voting). Exposes mean impurity-decrease feature importances — the
-/// "information theoretical feature importance" ranking of §4.2.
+/// soft voting) through the compiled flat form (ml/flat_forest.h), which
+/// Fit and Deserialize build as their last step. Exposes mean
+/// impurity-decrease feature importances — the "information theoretical
+/// feature importance" ranking of §4.2.
 class RandomForest final : public Classifier {
  public:
   explicit RandomForest(RandomForestParams params = {});
@@ -44,10 +45,8 @@ class RandomForest final : public Classifier {
 
   /// Predict and PredictProba in one call, bit-identical to the two, into
   /// caller-owned buffers that keep their capacity across calls: `labels`
-  /// is resized to rows, `probabilities` to rows x num_classes. With the
-  /// flat form compiled every row descends every tree once
-  /// (FlatForest::PredictWithProba); otherwise the two pointer walks run
-  /// back to back.
+  /// is resized to rows, `probabilities` to rows x num_classes. Every row
+  /// descends every tree once (FlatForest::PredictWithProba).
   Status PredictWithProba(const Matrix& features, std::vector<int>* labels,
                           Matrix* probabilities) const;
   std::string name() const override { return "random_forest"; }
@@ -69,17 +68,9 @@ class RandomForest final : public Classifier {
   /// Precondition: fitted.
   const std::vector<DecisionTree>& trees() const { return trees_; }
 
-  /// Compiles the flat inference form (ml/flat_forest.h): a contiguous
-  /// SoA node pool with branchless descent and a batched multi-row
-  /// kernel. Once compiled, Predict/PredictProba delegate to it — with
-  /// bit-identical results. Re-fitting drops the compiled form. A
-  /// non-null `scratch` reuses a caller-owned compile workspace across
-  /// refits (see FlatForestScratch). Precondition: fitted.
-  Status CompileFlat(FlatForestScratch* scratch = nullptr);
-
-  /// The compiled form, or nullptr when CompileFlat was not called (or a
-  /// refit invalidated it). Copies of a compiled forest share the
-  /// immutable flat form.
+  /// The compiled inference form every prediction runs through: non-null
+  /// exactly when fitted(). Copies of a forest share the immutable flat
+  /// form; a refit replaces it.
   const FlatForest* flat() const { return flat_.get(); }
 
   /// Text serialization of the fitted forest (see model_io.h for the
@@ -88,9 +79,15 @@ class RandomForest final : public Classifier {
 
   /// Parses a forest serialized by Serialize(). The restored forest
   /// predicts identically; hyper-parameters are restored for Clone().
+  /// Malformed or hostile text is a ParseError (DecisionTree's
+  /// DeserializeBlock validates each tree before the compile sees it).
   static Result<RandomForest> Deserialize(std::string_view text);
 
  private:
+  /// Builds flat_ from the fitted trees; the last step of Fit and
+  /// Deserialize.
+  Status CompileTrees();
+
   RandomForestParams params_;
   int num_classes_ = 0;
   std::vector<DecisionTree> trees_;

@@ -7,6 +7,7 @@
 
 #include "common/strings.h"
 #include "ml/dataset.h"
+#include "ml/flat_forest.h"
 #include "ml/matrix.h"
 #include "obs/metrics.h"
 #include "traj/trajectory_features.h"
@@ -25,16 +26,11 @@ obs::Counter& CtCounter(const char* name) {
 
 /// Deterministic serving-cost proxy for the promotion policy: compiled
 /// node counts instead of measured latency, so verdicts can't flip on
-/// wall-clock noise. 1.0 when either side is missing its flat form.
+/// wall-clock noise. 1.0 unless both an active and a shadow model are set.
 double NodeCostRatio(const ModelLease& lease) {
   if (lease.active == nullptr || lease.shadow == nullptr) return 1.0;
-  const ml::FlatForest* active_flat = lease.active->forest.flat();
-  const ml::FlatForest* shadow_flat = lease.shadow->forest.flat();
-  if (active_flat == nullptr || shadow_flat == nullptr) return 1.0;
-  const size_t active_nodes = active_flat->num_nodes();
-  if (active_nodes == 0) return 1.0;
-  return static_cast<double>(shadow_flat->num_nodes()) /
-         static_cast<double>(active_nodes);
+  return static_cast<double>(lease.shadow->forest.flat()->num_nodes()) /
+         static_cast<double>(lease.active->forest.flat()->num_nodes());
 }
 
 }  // namespace
@@ -214,14 +210,11 @@ void ContinuousTrainer::LaunchRefit() {
   labeled_since_fit_ = 0;
   CtCounter("serve.ct.refits").Increment();
 
-  // The closure owns everything it reads except compile_scratch_, which
-  // is safe because fits never overlap (Step joins before the next kick).
-  ml::FlatForestScratch* scratch = &compile_scratch_;
+  // The closure owns everything it reads.
   fit_ = std::async(
       std::launch::async,
       [snapshot = std::move(snapshot), version, params,
-       class_names = std::move(class_names),
-       scratch]() -> Result<ServingModel> {
+       class_names = std::move(class_names)]() -> Result<ServingModel> {
         const size_t n = snapshot->size();
         if (n == 0) {
           return Status::FailedPrecondition("refit with an empty buffer");
@@ -256,13 +249,10 @@ void ContinuousTrainer::LaunchRefit() {
             ml::Dataset::Create(std::move(features), std::move(labels), {},
                                 std::move(feature_names),
                                 std::move(class_names)));
+        // Fit compiles the flat inference form, so it happens here, off
+        // the serving path.
         ml::RandomForest forest(params);
         TRAJKIT_RETURN_IF_ERROR(forest.Fit(dataset));
-        // Compile the flat inference form here, off the serving path,
-        // reusing the trainer's scratch so periodic refits don't rebuild
-        // the dedup/BFS workspaces (Register would otherwise compile
-        // from scratch).
-        TRAJKIT_RETURN_IF_ERROR(forest.CompileFlat(scratch));
         return MakeServingModel(version, std::move(forest),
                                 static_cast<int>(width));
       });

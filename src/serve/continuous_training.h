@@ -29,7 +29,6 @@
 
 #include "common/result.h"
 #include "core/label_sets.h"
-#include "ml/flat_forest.h"
 #include "ml/random_forest.h"
 #include "serve/model_registry.h"
 #include "serve/session_manager.h"
@@ -171,10 +170,8 @@ class ContinuousTrainer {
   size_t window_degraded_ = 0;
 
   // The in-flight refit. Valid exactly between LaunchRefit and the next
-  // Step/Finish/destructor join. The scratch is only ever touched from
-  // inside the fit closure, and fits never overlap.
+  // Step/Finish/destructor join.
   std::future<Result<ServingModel>> fit_;
-  ml::FlatForestScratch compile_scratch_;
   size_t next_version_ = 2;
 
   Stats stats_;

@@ -229,14 +229,6 @@ const char* ModelRoleToString(ModelRole role) {
 
 Status ModelRegistry::Register(ServingModel model) {
   TRAJKIT_RETURN_IF_ERROR(model.Validate());
-  // Lower the forest into its flat inference form before the model becomes
-  // visible, so serving always runs the compiled path — including right
-  // after a hot swap — and never pays the compile on a request thread.
-  // Deserialized models arrive uncompiled; models the caller already
-  // compiled (the continuous trainer compiles its refits) are kept as-is.
-  if (model.forest.flat() == nullptr) {
-    TRAJKIT_RETURN_IF_ERROR(model.forest.CompileFlat());
-  }
   auto shared = std::make_shared<const ServingModel>(std::move(model));
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = models_.emplace(shared->version, shared);
@@ -392,13 +384,10 @@ void ModelRegistry::ExportActiveMetricsLocked() {
   obs::MetricsRegistry::Global().SetInfo("serve.registry.active_version",
                                          active_->version);
   // Shape of the active model's compiled inference form, for statusz and
-  // dashboards (Register guarantees flat() is set for registered models).
-  if (const ml::FlatForest* flat = active_->forest.flat()) {
-    const ml::FlatForestStats stats = flat->Stats();
-    obs::MetricsRegistry::Global()
-        .GetGauge("serve.registry.flat_nodes")
-        .Set(static_cast<double>(stats.num_nodes));
-  }
+  // dashboards (a registered model is fitted, so its forest is compiled).
+  obs::MetricsRegistry::Global()
+      .GetGauge("serve.registry.flat_nodes")
+      .Set(static_cast<double>(active_->forest.flat()->num_nodes()));
 }
 
 std::shared_ptr<const ServingModel> ModelRegistry::Get(

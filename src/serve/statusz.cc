@@ -85,13 +85,11 @@ std::string RenderStatusPage(const obs::MetricsRegistry& metrics,
     Appendf(out, "  shadow_version: %s\n", shadow_version.c_str());
   }
   // Compiled flat inference form of the active model (ml/flat_forest.h);
-  // every registered model is compiled, so "(not compiled)" only shows
-  // before the first activation.
+  // every fitted forest is compiled, so the line shows from the first
+  // activation on.
   const double flat_nodes = GaugeValue(metrics, "serve.registry.flat_nodes");
   if (flat_nodes > 0.0) {
     Appendf(out, "  flat_form: compiled (%.0f nodes)\n", flat_nodes);
-  } else {
-    out += "  flat_form: (not compiled)\n";
   }
 
   out += "queue\n";

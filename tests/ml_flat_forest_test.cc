@@ -1,7 +1,9 @@
 // Golden parity and lifecycle tests for the compiled flat inference form
-// (ml/flat_forest.h): bit-identity against the pointer walk at 1 and 8
-// threads, NaN/+-inf rows and the 64-row block edges, and serialize ->
-// compile-on-register -> hot-swap parity through the serving registry.
+// (ml/flat_forest.h), which every fitted or deserialized RandomForest
+// predicts through: memcmp-equality against the pointer-walk oracle
+// (forest_oracle.h) at 1 and 8 threads, NaN/+-inf rows and the 64-row
+// block edges, and serialize -> publish -> hot-swap parity through the
+// serving registry.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "forest_oracle.h"
 #include "ml/flat_forest.h"
 #include "ml/random_forest.h"
 #include "serve/model_registry.h"
@@ -70,52 +73,76 @@ Matrix RandomQueries(size_t rows, int num_features, uint64_t seed) {
   return Matrix::FromRows(out);
 }
 
-void ExpectBitIdentical(const Matrix& a, const Matrix& b) {
+using testing::PointerWalkPredict;
+using testing::PointerWalkProba;
+
+// memcmp, not EXPECT_EQ per cell: the contract is the same bytes, which
+// also pins -0.0 against 0.0.
+void ExpectSameBytes(const std::vector<int>& a, const std::vector<int>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(int)), 0);
+}
+
+void ExpectSameBytes(const Matrix& a, const Matrix& b) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
-  for (size_t r = 0; r < a.rows(); ++r) {
-    for (size_t c = 0; c < a.cols(); ++c) {
-      // EXPECT_EQ (not NEAR): the contract is the same bits, not closeness.
-      EXPECT_EQ(a(r, c), b(r, c)) << "row " << r << " col " << c;
-    }
-  }
+  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                        a.rows() * a.cols() * sizeof(double)),
+            0);
+}
+
+/// Predict, PredictProba and PredictWithProba of `forest` against the
+/// pointer-walk oracle.
+void ExpectMatchesOracle(const RandomForest& forest, const Matrix& queries) {
+  const std::vector<int> labels = PointerWalkPredict(forest, queries);
+  const Matrix probs = PointerWalkProba(forest, queries);
+  ExpectSameBytes(forest.Predict(queries), labels);
+  ExpectSameBytes(std::move(forest.PredictProba(queries)).value(), probs);
+  std::vector<int> one_labels;
+  Matrix one_probs;
+  ASSERT_TRUE(forest.PredictWithProba(queries, &one_labels, &one_probs).ok());
+  ExpectSameBytes(one_labels, labels);
+  ExpectSameBytes(one_probs, probs);
 }
 
 TEST(FlatForestTest, CompileRequiresFittedForest) {
   RandomForest forest;
   EXPECT_FALSE(FlatForest::Compile(forest).ok());
-  EXPECT_FALSE(forest.CompileFlat().ok());
+  EXPECT_EQ(forest.flat(), nullptr);
+}
+
+TEST(FlatForestTest, FitAndDeserializeCompile) {
+  const Dataset train = MakeBlobs(3, 30, 4, 1.0, 5);
+  RandomForest forest;
+  ASSERT_TRUE(forest.Fit(train).ok());
+  ASSERT_NE(forest.flat(), nullptr);
+  EXPECT_EQ(forest.flat()->num_trees(), forest.NumTrees());
+  const RandomForest restored =
+      std::move(RandomForest::Deserialize(forest.Serialize())).value();
+  ASSERT_NE(restored.flat(), nullptr);
+  EXPECT_EQ(restored.flat()->num_nodes(), forest.flat()->num_nodes());
 }
 
 TEST(FlatForestTest, PredictAndProbaBitIdenticalToPointerWalkAcrossThreads) {
   const Dataset train = MakeBlobs(4, 60, 6, 1.4, 7);
   RandomForestParams params;
   params.n_estimators = 16;
-  RandomForest pointer(params);
-  ASSERT_TRUE(pointer.Fit(train).ok());
-
-  RandomForest flat = pointer;  // Same fitted trees; this copy compiles.
-  ASSERT_TRUE(flat.CompileFlat().ok());
-  ASSERT_NE(flat.flat(), nullptr);
-  EXPECT_EQ(pointer.flat(), nullptr);  // The baseline stays a pointer walk.
+  RandomForest forest(params);
+  ASSERT_TRUE(forest.Fit(train).ok());
 
   // 200 rows spans multiple 64-row blocks plus a ragged tail.
   const Matrix queries = RandomQueries(200, 6, 99);
   for (const int threads : {1, 8}) {
     ScopedThreads scoped(threads);
-    EXPECT_EQ(pointer.Predict(queries), flat.Predict(queries))
-        << "threads=" << threads;
-    ExpectBitIdentical(std::move(pointer.PredictProba(queries)).value(),
-                       std::move(flat.PredictProba(queries)).value());
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectMatchesOracle(forest, queries);
   }
 }
 
 TEST(FlatForestTest, NanAndInfinityRowsAgreeWithPointerWalk) {
   const Dataset train = MakeBlobs(3, 50, 4, 1.2, 11);
-  RandomForest pointer;
-  ASSERT_TRUE(pointer.Fit(train).ok());
-  RandomForest flat = pointer;
-  ASSERT_TRUE(flat.CompileFlat().ok());
+  RandomForest forest;
+  ASSERT_TRUE(forest.Fit(train).ok());
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -123,17 +150,19 @@ TEST(FlatForestTest, NanAndInfinityRowsAgreeWithPointerWalk) {
                                          {nan, nan, nan, nan},
                                          {inf, -inf, 0.0, nan},
                                          {-inf, inf, nan, 2.0}});
-  EXPECT_EQ(pointer.Predict(weird), flat.Predict(weird));
-  ExpectBitIdentical(std::move(pointer.PredictProba(weird)).value(),
-                     std::move(flat.PredictProba(weird)).value());
+  for (const int threads : {1, 8}) {
+    ScopedThreads scoped(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectMatchesOracle(forest, weird);
+  }
 }
 
 // The serving kernel: one descent per row and tree fills both outputs,
-// which must equal Predict + PredictProba byte for byte (memcmp), and the
-// pointer walk too. Covers NaN and +-inf cells, 1 and 8 threads, and
-// batch sizes on both sides of the 64-row block edge — 1 and 65 (a 64-row
-// block plus a 1-row block) put several trees in one cohort (64 / block
-// lanes per tree), 63 and 64 one tree per cohort.
+// which must equal Predict + PredictProba and the pointer walk byte for
+// byte. Covers NaN and +-inf cells, 1 and 8 threads, and batch sizes on
+// both sides of the 64-row block edge — 1 and 65 (a 64-row block plus a
+// 1-row block) put several trees in one cohort (64 / block lanes per
+// tree), 63 and 64 one tree per cohort.
 TEST(FlatForestTest, OnePassKernelMatchesPredictPlusProbaBitForBit) {
   const Dataset blobs = MakeBlobs(4, 60, 6, 1.4, 71);
   // Leaves of >= 8 samples are mixed, so vote sums are fractional and a
@@ -141,14 +170,12 @@ TEST(FlatForestTest, OnePassKernelMatchesPredictPlusProbaBitForBit) {
   // still grow to uneven depths, which the cohort descent must cover.
   RandomForestParams mixed_leaves;
   mixed_leaves.min_samples_leaf = 8;
-  RandomForest pointer(mixed_leaves);
-  ASSERT_TRUE(pointer.Fit(blobs).ok());
-  RandomForest compiled = pointer;
-  ASSERT_TRUE(compiled.CompileFlat().ok());
+  RandomForest forest(mixed_leaves);
+  ASSERT_TRUE(forest.Fit(blobs).ok());
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  const FlatForest& flat = *compiled.flat();
+  const FlatForest& flat = *forest.flat();
   const size_t k = static_cast<size_t>(flat.num_classes());
   for (const size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65}}) {
     // Training rows, then NaN and +-inf cells: a NaN first row, a last
@@ -163,41 +190,32 @@ TEST(FlatForestTest, OnePassKernelMatchesPredictPlusProbaBitForBit) {
     queries(n - 1, source.cols() - 1) = -inf;
     queries(n / 2, 1) = inf;
 
-    const std::vector<int> pointer_labels = pointer.Predict(queries);
-    const Matrix pointer_probs =
-        std::move(pointer.PredictProba(queries)).value();
+    const std::vector<int> oracle_labels = PointerWalkPredict(forest, queries);
+    const Matrix oracle_probs = PointerWalkProba(forest, queries);
     for (const int threads : {1, 8}) {
       ScopedThreads scoped(threads);
       SCOPED_TRACE("n=" + std::to_string(n) +
                    " threads=" + std::to_string(threads));
-      const std::vector<int> labels = compiled.Predict(queries);
-      const Matrix probs = std::move(compiled.PredictProba(queries)).value();
       std::vector<int> one_labels(n, -1);
       std::vector<double> one_probs(n * k, -1.0);
       flat.PredictWithProba(queries, one_labels, one_probs);
-      EXPECT_EQ(
-          std::memcmp(one_labels.data(), labels.data(), n * sizeof(int)), 0);
-      EXPECT_EQ(std::memcmp(one_probs.data(), probs.data().data(),
+      ExpectSameBytes(one_labels, oracle_labels);
+      EXPECT_EQ(std::memcmp(one_probs.data(), oracle_probs.data().data(),
                             n * k * sizeof(double)),
                 0);
-      EXPECT_EQ(one_labels, pointer_labels);
-      EXPECT_EQ(std::memcmp(one_probs.data(), pointer_probs.data().data(),
-                            n * k * sizeof(double)),
-                0);
+      ExpectSameBytes(forest.Predict(queries), oracle_labels);
+      ExpectSameBytes(std::move(forest.PredictProba(queries)).value(),
+                      oracle_probs);
 
       // The forest-level entry point (what serving calls) reuses its
       // buffers and lands on the same bytes.
       std::vector<int> forest_labels(3, 9);
       Matrix forest_probs(2, 7);
       ASSERT_TRUE(
-          compiled.PredictWithProba(queries, &forest_labels, &forest_probs)
+          forest.PredictWithProba(queries, &forest_labels, &forest_probs)
               .ok());
-      EXPECT_EQ(forest_labels, labels);
-      ASSERT_EQ(forest_probs.rows(), n);
-      ASSERT_EQ(forest_probs.cols(), k);
-      EXPECT_EQ(std::memcmp(forest_probs.data().data(), probs.data().data(),
-                            n * k * sizeof(double)),
-                0);
+      ExpectSameBytes(forest_labels, oracle_labels);
+      ExpectSameBytes(forest_probs, oracle_probs);
     }
   }
 }
@@ -206,7 +224,6 @@ TEST(FlatForestTest, StatsCountNodesAndDedupedDistributions) {
   const Dataset train = MakeBlobs(3, 40, 5, 1.0, 21);
   RandomForest forest;
   ASSERT_TRUE(forest.Fit(train).ok());
-  ASSERT_TRUE(forest.CompileFlat().ok());
 
   size_t expected_nodes = 0;
   for (const DecisionTree& tree : forest.trees()) {
@@ -221,27 +238,45 @@ TEST(FlatForestTest, StatsCountNodesAndDedupedDistributions) {
   EXPECT_LT(stats.shared_distributions, stats.num_leaves);
 }
 
-TEST(FlatForestTest, RefitDropsCompiledForm) {
+TEST(FlatForestTest, RefitReplacesCompiledForm) {
   const Dataset train = MakeBlobs(3, 30, 4, 1.0, 31);
   RandomForest forest;
   ASSERT_TRUE(forest.Fit(train).ok());
-  ASSERT_TRUE(forest.CompileFlat().ok());
+  const RandomForest copy = forest;  // Shares the immutable flat form.
+  ASSERT_EQ(copy.flat(), forest.flat());
+
+  ASSERT_TRUE(forest.Fit(MakeBlobs(3, 30, 4, 1.0, 32)).ok());
   ASSERT_NE(forest.flat(), nullptr);
-  ASSERT_TRUE(forest.Fit(train).ok());
+  EXPECT_NE(forest.flat(), copy.flat());
+  const Matrix queries = RandomQueries(80, 4, 33);
+  ExpectMatchesOracle(forest, queries);
+  ExpectMatchesOracle(copy, queries);
+
+  // A refit that fails after dropping the old trees (here on a NaN
+  // feature) leaves an unfitted forest with no flat form.
+  const Dataset poisoned =
+      std::move(Dataset::Create(
+                    Matrix::FromRows({{std::numeric_limits<double>::quiet_NaN()},
+                                      {1.0}}),
+                    {0, 1}, {}, {}, {"a", "b"}))
+          .value();
+  EXPECT_FALSE(forest.Fit(poisoned).ok());
+  EXPECT_FALSE(forest.fitted());
   EXPECT_EQ(forest.flat(), nullptr);
 }
 
-TEST(FlatForestTest, SerializeCompileOnRegisterSwapParity) {
+TEST(FlatForestTest, SerializePublishSwapParity) {
   const int kFeatures = 5;
   const Dataset train = MakeBlobs(3, 50, kFeatures, 1.3, 71);
   RandomForest offline;
   ASSERT_TRUE(offline.Fit(train).ok());
 
   // Round-trip through the wire format: the restored forest arrives
-  // uncompiled and the registry must lower it on Register.
+  // compiled, and the registry publishes it as it is.
   RandomForest restored =
       std::move(RandomForest::Deserialize(offline.Serialize())).value();
-  ASSERT_EQ(restored.flat(), nullptr);
+  const FlatForest* restored_flat = restored.flat();
+  ASSERT_NE(restored_flat, nullptr);
 
   serve::ModelRegistry registry;
   serve::ServingModel model =
@@ -252,7 +287,7 @@ TEST(FlatForestTest, SerializeCompileOnRegisterSwapParity) {
   const std::shared_ptr<const serve::ServingModel> active =
       registry.Acquire().active;
   ASSERT_NE(active, nullptr);
-  ASSERT_NE(active->forest.flat(), nullptr);  // Compiled on Register.
+  EXPECT_EQ(active->forest.flat(), restored_flat);
 
   const Matrix queries = RandomQueries(96, kFeatures, 72);
   std::vector<std::vector<double>> rows;
@@ -262,16 +297,16 @@ TEST(FlatForestTest, SerializeCompileOnRegisterSwapParity) {
   }
   const std::vector<serve::Prediction> served =
       std::move(active->PredictBatch(rows)).value();
-  const std::vector<int> expected = offline.Predict(queries);
-  const Matrix expected_proba =
-      std::move(offline.PredictProba(queries)).value();
+  const std::vector<int> expected = PointerWalkPredict(offline, queries);
+  const Matrix expected_proba = PointerWalkProba(offline, queries);
   ASSERT_EQ(served.size(), expected.size());
   for (size_t r = 0; r < served.size(); ++r) {
     EXPECT_EQ(served[r].label, expected[r]);
     ASSERT_EQ(served[r].probabilities.size(), expected_proba.cols());
-    for (size_t c = 0; c < expected_proba.cols(); ++c) {
-      EXPECT_EQ(served[r].probabilities[c], expected_proba(r, c));
-    }
+    EXPECT_EQ(std::memcmp(served[r].probabilities.data(),
+                          expected_proba.Row(r).data(),
+                          expected_proba.cols() * sizeof(double)),
+              0);
   }
 }
 
@@ -286,7 +321,8 @@ TEST(FlatForestTest, HotSwapUnderPredictStaysBitIdentical) {
   RandomForest forest(params);
   ASSERT_TRUE(forest.Fit(train).ok());
   const Matrix queries = RandomQueries(32, kFeatures, 82);
-  const std::vector<int> expected = forest.Predict(queries);
+  const std::vector<int> expected = PointerWalkPredict(forest, queries);
+  const Matrix expected_proba = PointerWalkProba(forest, queries);
   std::vector<std::vector<double>> rows;
   for (size_t r = 0; r < queries.rows(); ++r) {
     const std::span<const double> row = queries.Row(r);
@@ -326,6 +362,11 @@ TEST(FlatForestTest, HotSwapUnderPredictStaysBitIdentical) {
             std::move(snapshot->PredictBatch(rows)).value();
         for (size_t r = 0; r < out.size(); ++r) {
           ASSERT_EQ(out[r].label, expected[r]);
+          ASSERT_EQ(out[r].probabilities.size(), expected_proba.cols());
+          ASSERT_EQ(std::memcmp(out[r].probabilities.data(),
+                                expected_proba.Row(r).data(),
+                                expected_proba.cols() * sizeof(double)),
+                    0);
         }
       }
     });

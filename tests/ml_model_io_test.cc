@@ -178,6 +178,94 @@ TEST(ModelIoTest, CloneOfRestoredForestRetrains) {
             forest.Predict(train.features()));
 }
 
+// ------------------------------------------------------ Hostile models --
+
+// A one-tree, two-class, two-feature forest file around the given tree
+// header depth, node lines and leaf distributions. Deserialize compiles
+// the flat form, so every case below must be a ParseError before the
+// compile sees it: a cycle used to grow the compile's BFS without bound, an
+// out-of-range feature read past the row, and a short header depth made
+// the flat descent stop above a leaf.
+std::string OneTreeModel(int depth, const std::vector<std::string>& nodes,
+                         int num_distributions = 2) {
+  std::string text =
+      "trajkit_random_forest v1\n"
+      "params 1 0 0 2 1 0 1 0 42\nclasses 2\ntrees 1\n";
+  text += "tree 2 " + std::to_string(depth) + "\n";
+  text += "nodes " + std::to_string(nodes.size()) + "\n";
+  for (const std::string& node : nodes) text += node + "\n";
+  text += "distributions " + std::to_string(num_distributions) + " 2\n";
+  for (int d = 0; d < num_distributions; ++d) {
+    text += d % 2 == 0 ? "1 0\n" : "0 1\n";
+  }
+  text += "importances 2\n1 0\n";
+  return text;
+}
+
+void ExpectParseError(const std::string& text, const std::string& needle) {
+  const Result<RandomForest> result = RandomForest::Deserialize(text);
+  ASSERT_FALSE(result.ok()) << "accepted:\n" << text;
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+  EXPECT_NE(result.status().message().find(needle), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(HostileModelTest, WellFormedTreeLoadsCompiled) {
+  const Result<RandomForest> forest = RandomForest::Deserialize(OneTreeModel(
+      1, {"0 0.5 1 2 -1", "-1 0 -1 -1 0", "-1 0 -1 -1 1"}));
+  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  ASSERT_NE(forest->flat(), nullptr);
+  EXPECT_EQ(forest->Predict(Matrix::FromRows({{0.0, 0.0}, {1.0, 0.0}})),
+            (std::vector<int>{0, 1}));
+}
+
+TEST(HostileModelTest, CycleIsParseError) {
+  // The root is its own left child.
+  ExpectParseError(
+      OneTreeModel(1, {"0 0.5 0 2 -1", "-1 0 -1 -1 0", "-1 0 -1 -1 1"}),
+      "reached twice");
+}
+
+TEST(HostileModelTest, ChildSharedByTwoParentsIsParseError) {
+  ExpectParseError(OneTreeModel(2, {"0 0.5 1 2 -1", "1 0.5 3 4 -1",
+                                    "1 0.7 3 4 -1", "-1 0 -1 -1 0",
+                                    "-1 0 -1 -1 1"}),
+                   "reached twice");
+}
+
+TEST(HostileModelTest, UnreachableNodeIsParseError) {
+  ExpectParseError(OneTreeModel(1, {"0 0.5 1 2 -1", "-1 0 -1 -1 0",
+                                    "-1 0 -1 -1 1", "-1 0 -1 -1 0"}),
+                   "node 3 is unreachable");
+}
+
+TEST(HostileModelTest, SplitFeatureOutsideImportanceWidthIsParseError) {
+  ExpectParseError(
+      OneTreeModel(1, {"100000 0.5 1 2 -1", "-1 0 -1 -1 0", "-1 0 -1 -1 1"}),
+      "splits on feature 100000 but the tree has 2 features");
+  // A feature past int's range is rejected, not wrapped into a valid one.
+  ExpectParseError(OneTreeModel(1, {"4294967296 0.5 1 2 -1", "-1 0 -1 -1 0",
+                                    "-1 0 -1 -1 1"}),
+                   "out of range");
+}
+
+TEST(HostileModelTest, HeaderDepthMismatchIsParseError) {
+  ExpectParseError(
+      OneTreeModel(0, {"0 0.5 1 2 -1", "-1 0 -1 -1 0", "-1 0 -1 -1 1"}),
+      "header says depth 0 but its nodes are 1 deep");
+  ExpectParseError(
+      OneTreeModel(5, {"0 0.5 1 2 -1", "-1 0 -1 -1 0", "-1 0 -1 -1 1"}),
+      "header says depth 5 but its nodes are 1 deep");
+}
+
+TEST(HostileModelTest, NodeCountBeyondFileIsParseError) {
+  std::string text =
+      OneTreeModel(1, {"0 0.5 1 2 -1", "-1 0 -1 -1 0", "-1 0 -1 -1 1"});
+  const std::string count = "nodes 3\n";
+  text.replace(text.find(count), count.size(), "nodes 4611686018427387904\n");
+  ExpectParseError(text, "node count exceeds the model file");
+}
+
 // ------------------------------------------------ Balanced class weights --
 
 TEST(BalancedWeightsTest, ImprovesMinorityRecallOnImbalancedData) {

@@ -5,8 +5,7 @@
 // under concurrent sharded predict (both rerun under TSan by CI),
 // failed-candidate rejection, a refit failed by a NaN example,
 // drift-forced refits, byte-identical CT
-// replay across thread/shard counts, ParseServeFlags validation, and
-// FlatForestScratch reuse.
+// replay across thread/shard counts, and ParseServeFlags validation.
 
 #include <gtest/gtest.h>
 
@@ -659,30 +658,6 @@ TEST(ServeConfigTest, DefaultsAndOverridesRoundTrip) {
     EXPECT_EQ(options.promotion.min_samples, 12u);
     EXPECT_DOUBLE_EQ(options.promotion.min_accuracy_delta, -0.5);
     EXPECT_EQ(options.forest.n_estimators, 7);
-  }
-}
-
-// ------------------------------------------------- FlatForestScratch -----
-
-// Compiling through a reused scratch must be invisible in the output:
-// the flat form answers bit-identically to the tree walk, across refits
-// sharing one workspace (the continuous trainer's usage pattern).
-TEST(FlatForestScratchTest, ReuseAcrossRefitsIsBitIdentical) {
-  ml::FlatForestScratch scratch;
-  for (uint64_t seed = 5; seed < 8; ++seed) {
-    ServingModel model = TinyModel("scratch-" + std::to_string(seed),
-                                   /*width=*/6, seed);
-    Rng rng(seed * 31 + 7);
-    ml::Matrix probe(64, 6);
-    for (size_t i = 0; i < probe.rows(); ++i) {
-      for (size_t f = 0; f < 6; ++f) {
-        probe.MutableRow(i)[f] = rng.Uniform(-1.0, 2.0);
-      }
-    }
-    const std::vector<int> tree_walk = model.forest.Predict(probe);
-    ASSERT_TRUE(model.forest.CompileFlat(&scratch).ok());
-    ASSERT_NE(model.forest.flat(), nullptr);
-    EXPECT_EQ(model.forest.Predict(probe), tree_walk) << "seed " << seed;
   }
 }
 

@@ -1549,7 +1549,6 @@ TEST(StatuszTest, GoldenEmptyPageRendersEverySectionWithPlaceholders) {
       "  active_version: (none)\n"
       "  registered: 0\n"
       "  swaps: 0  promotions: 0\n"
-      "  flat_form: (not compiled)\n"
       "queue\n"
       "  depth: 0\n"
       "  requests: 0\n"
@@ -1585,7 +1584,7 @@ TEST(StatuszTest, GoldenEmptyPageRendersEverySectionWithPlaceholders) {
 
 TEST(StatuszTest, FlatFormLineShowsTheActiveModelsNodeCount) {
   // Activation exports the compiled form's node count to the global
-  // registry; the page names it in place of "(not compiled)".
+  // registry; the page shows it from the first activation on.
   ModelRegistry registry;
   ASSERT_TRUE(registry.Publish(ReplayFixture::Get().model).ok());
   const std::shared_ptr<const ServingModel> active = registry.Acquire().active;

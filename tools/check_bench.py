@@ -44,6 +44,10 @@ separated fnmatch patterns over "artifact/metric") it re-records only the
 matching metrics and keeps every other baseline value as it was, so a
 change re-records the keys it moves without loosening the rest; the
 host facts of an artifact are those of its latest re-recorded metric.
+A tracked metric that matches --keys but that its artifact's run no
+longer emits is dropped from the baseline (and printed as dropped): this
+is how a key leaves with the code it timed. Artifacts absent from the
+run keep every metric.
 --verify_baseline fails unless the baseline is byte-identical to its own
 --update serialisation, which rejects hand-formatted edits. Exit code
 0 = gate green, 1 = regression, malformed input or a non-canonical
@@ -160,24 +164,37 @@ def git_sha():
 
 def update_baseline(artifacts, current, hosts, patterns):
     """Folds the current run into `artifacts` (the loaded baseline's, or
-    empty) and returns the re-recorded "artifact/metric" names. Without
-    patterns every run metric is taken and artifacts absent from the run
-    are dropped; with patterns only matching metrics are taken."""
+    empty) and returns the (re-recorded, dropped) "artifact/metric" names.
+    Without patterns every run metric is taken and artifacts absent from
+    the run are dropped; with patterns only matching metrics are taken,
+    and matching tracked metrics the artifact's run lacks are dropped."""
     sha = git_sha()
     if not patterns:
         artifacts.clear()
+
+    def matches(name, key):
+        return not patterns or any(fnmatch.fnmatchcase(f"{name}/{key}", p)
+                                   for p in patterns)
+
     recorded = []
+    dropped = []
     for name, metrics in sorted(current.items()):
+        slot = artifacts.get(name)
+        if slot is not None:
+            gone = sorted(key for key in slot["metrics"]
+                          if key not in metrics and matches(name, key))
+            for key in gone:
+                del slot["metrics"][key]
+            dropped.extend(f"{name}/{key}" for key in gone)
         taken = {key: value for key, value in metrics.items()
-                 if not patterns or any(fnmatch.fnmatchcase(f"{name}/{key}", p)
-                                        for p in patterns)}
+                 if matches(name, key)}
         if not taken:
             continue
         slot = artifacts.setdefault(name, {"metrics": {}})
         slot["metrics"].update(taken)
         slot["host"] = dict(hosts[name], git_sha=sha)
         recorded.extend(f"{name}/{key}" for key in sorted(taken))
-    return recorded
+    return recorded, dropped
 
 
 def warn_host_mismatch(baseline, hosts):
@@ -285,19 +302,23 @@ def main():
 
     if args.update:
         artifacts = baseline["artifacts"]
-        recorded = update_baseline(artifacts, current, hosts, patterns)
+        recorded, dropped = update_baseline(artifacts, current, hosts,
+                                            patterns)
         unmatched = [p for p in patterns
                      if not any(fnmatch.fnmatchcase(key, p)
-                                for key in recorded)]
+                                for key in recorded + dropped)]
         if unmatched:
             print(f"error: --keys patterns {unmatched} match no metric of "
-                  "the run; baseline left as it was", file=sys.stderr)
+                  "the run or tracked metric it lacks; baseline left as it "
+                  "was", file=sys.stderr)
             return 1
         with open(args.baseline, "w") as fh:
             fh.write(render_baseline(artifacts))
+        for key in dropped:
+            print(f"  dropped {key} (tracked, no longer emitted by the run)")
         print(f"baseline written to {args.baseline} ({len(recorded)} of "
               f"{sum(len(a['metrics']) for a in artifacts.values())} "
-              "tracked metrics re-recorded)")
+              f"tracked metrics re-recorded, {len(dropped)} dropped)")
         return 0
 
     warn_host_mismatch(baseline, hosts)

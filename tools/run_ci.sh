@@ -363,7 +363,7 @@ else
       --benchmark_out_format=json \
       --metrics_json="$BENCH_OUT/parallel_metrics_$run.json" >/dev/null 2>&1
     # The filter matches nothing: only the --timing_json gate workload runs
-    # (flat vs pointer forest inference + point-feature kernels, 1 thread).
+    # (forest fit and inference + point-feature kernels, 1 thread).
     "$BUILD_DIR"/bench/micro_ml --threads=1 '--benchmark_filter=^$' \
       --timing_json="$BENCH_OUT/ml_$run.json" >/dev/null 2>&1
     # micro_store exits nonzero on its own if the indexed bbox path is

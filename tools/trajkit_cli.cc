@@ -348,9 +348,32 @@ int RunPredict(const Flags& flags) {
   if (!dataset.ok()) return Fail(dataset.status(), "dataset load");
   auto forest = ml::LoadRandomForest(model_path);
   if (!forest.ok()) return Fail(forest.status(), "model load");
+  // The forest reads its training width per row and names a class by
+  // index into the CSV's class names, so both must fit the model.
+  const size_t model_features = forest->FeatureImportances().size();
+  if (dataset->num_features() != model_features) {
+    std::fprintf(stderr,
+                 "predict: %s has %zu features but the model was trained "
+                 "on %zu\n",
+                 dataset_path.c_str(), dataset->num_features(),
+                 model_features);
+    return 1;
+  }
+  if (static_cast<size_t>(forest->num_classes()) >
+      dataset->class_names().size()) {
+    std::fprintf(stderr,
+                 "predict: the model predicts %d classes but %s names only "
+                 "%zu\n",
+                 forest->num_classes(), dataset_path.c_str(),
+                 dataset->class_names().size());
+    return 1;
+  }
 
-  const std::vector<int> predictions =
-      forest->Predict(dataset->features());
+  std::vector<int> predictions;
+  ml::Matrix probabilities;
+  const Status predicted = forest->PredictWithProba(
+      dataset->features(), &predictions, &probabilities);
+  if (!predicted.ok()) return Fail(predicted, "predict");
   size_t shown = 0;
   for (size_t i = 0; i < predictions.size() && shown < 20; ++i, ++shown) {
     std::printf("sample %zu -> class %d\n", i, predictions[i]);
@@ -363,14 +386,11 @@ int RunPredict(const Flags& flags) {
   // capped at 20 rows).
   const std::string output = flags.GetString("output", "");
   if (!output.empty()) {
-    auto probabilities = forest->PredictProba(dataset->features());
     CsvTable table;
     table.header = {"sample", "predicted_class", "predicted_label"};
-    const bool with_proba = probabilities.ok();
-    if (with_proba) {
-      for (const std::string& name : dataset->class_names()) {
-        table.header.push_back("proba_" + name);
-      }
+    for (int c = 0; c < forest->num_classes(); ++c) {
+      table.header.push_back("proba_" +
+                             dataset->class_names()[static_cast<size_t>(c)]);
     }
     table.rows.reserve(predictions.size());
     for (size_t i = 0; i < predictions.size(); ++i) {
@@ -379,10 +399,8 @@ int RunPredict(const Flags& flags) {
       row.push_back(StrPrintf("%d", predictions[i]));
       row.push_back(dataset->class_names()[
           static_cast<size_t>(predictions[i])]);
-      if (with_proba) {
-        for (const double p : probabilities->Row(i)) {
-          row.push_back(StrPrintf("%.17g", p));
-        }
+      for (const double p : probabilities.Row(i)) {
+        row.push_back(StrPrintf("%.17g", p));
       }
       table.rows.push_back(std::move(row));
     }
