@@ -77,6 +77,27 @@ void BM_TrajectoryFeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_TrajectoryFeatureExtraction)->Range(64, 16384);
 
+// The segment-close kernel: the 70 statistics over already-derived point
+// features. Sizes: 32 (a windowed segment) and 584 (the mean trips segment;
+// see BM_Percentiles). Iterations cycle through 16 different walks, so the
+// branch predictor cannot learn one input's comparison outcomes.
+void BM_ExtractFromPointFeatures(benchmark::State& state) {
+  std::vector<traj::PointFeatures> segments;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    segments.push_back(traj::ComputePointFeatures(
+        RandomWalkPoints(static_cast<size_t>(state.range(0)), seed)));
+  }
+  const traj::TrajectoryFeatureExtractor extractor;
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        extractor.ExtractFromPointFeatures(segments[next]));
+    next = (next + 1) % segments.size();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ExtractFromPointFeatures)->Arg(32)->Arg(584);
+
 // The six order statistics of one channel at segment close, with the
 // scratch reused as in TrajectoryFeatureExtractor. Sizes: 32 (a windowed
 // segment), 584 (the mean closed segment of the e2e trips workload at seed

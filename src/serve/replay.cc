@@ -1,7 +1,7 @@
 #include "serve/replay.h"
 
+#include <algorithm>
 #include <future>
-#include <queue>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -28,6 +28,22 @@ struct CursorLater {
   }
 };
 
+/// Replaces the top of `heap` (a std heap under CursorLater, so the
+/// earliest cursor on top) with `cursor` and sifts it down: one pass where
+/// a pop and a push take two.
+void ReplaceTop(std::vector<Cursor>& heap, const Cursor& cursor) {
+  const CursorLater later;
+  const size_t n = heap.size();
+  size_t hole = 0;
+  for (size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && later(heap[child], heap[child + 1])) ++child;
+    if (!later(cursor, heap[child])) break;
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap[hole] = cursor;
+}
+
 }  // namespace
 
 Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
@@ -40,12 +56,15 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
   // it. A user's own fixes are never reordered — out-of-order fixes inside
   // a trajectory reach the session in file order and are dropped there,
   // exactly like the offline cleaner.
-  std::priority_queue<Cursor, std::vector<Cursor>, CursorLater> merge;
+  // (timestamp, trajectory) is a total order, so any heap pops the same
+  // sequence.
+  std::vector<Cursor> merge;
   for (size_t t = 0; t < corpus.size(); ++t) {
     if (!corpus[t].points.empty()) {
-      merge.push(Cursor{corpus[t].points[0].timestamp, t, 0});
+      merge.push_back(Cursor{corpus[t].points[0].timestamp, t, 0});
     }
   }
+  std::make_heap(merge.begin(), merge.end(), CursorLater());
 
   // One submitted request; `features` is retained only while the request
   // still has retry budget (a resubmission needs the payload again).
@@ -202,8 +221,7 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
 
   Stopwatch ingest_timer;
   while (!merge.empty()) {
-    Cursor cursor = merge.top();
-    merge.pop();
+    const Cursor cursor = merge.front();
     const traj::Trajectory& trajectory = corpus[cursor.trajectory];
     const traj::TrajectoryPoint& point = trajectory.points[cursor.point];
     plane.Ingest(trajectory.user_id, point, &closed);
@@ -232,8 +250,12 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
       next_tick += options.tick_every_segments;
     }
     if (cursor.point + 1 < trajectory.points.size()) {
-      merge.push(Cursor{trajectory.points[cursor.point + 1].timestamp,
-                        cursor.trajectory, cursor.point + 1});
+      ReplaceTop(merge, Cursor{trajectory.points[cursor.point + 1].timestamp,
+                               cursor.trajectory, cursor.point + 1});
+    } else {
+      const Cursor last = merge.back();
+      merge.pop_back();
+      if (!merge.empty()) ReplaceTop(merge, last);
     }
   }
   plane.FlushAll(&closed);

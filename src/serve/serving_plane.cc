@@ -34,8 +34,12 @@ ServingPlane::ServingPlane(const ModelRegistry* registry,
 }
 
 size_t ServingPlane::ShardOf(int64_t user_id) const {
-  return static_cast<size_t>(Mix64(static_cast<uint64_t>(user_id)) %
-                             shards_.size());
+  // Mix64(id) % n without the 64-bit division where n allows it.
+  const size_t n = shards_.size();
+  if (n == 1) return 0;
+  const uint64_t hash = Mix64(static_cast<uint64_t>(user_id));
+  if ((n & (n - 1)) == 0) return static_cast<size_t>(hash & (n - 1));
+  return static_cast<size_t>(hash % n);
 }
 
 void ServingPlane::Ingest(int64_t user_id,

@@ -133,12 +133,15 @@ void SessionManager::Ingest(int64_t session_id,
   if (shard_points_ != nullptr) shard_points_->Increment();
   auto [it, inserted] = sessions_.try_emplace(session_id);
   Session& session = it->second;
-  if (inserted) {
-    lru_.push_front(session_id);
-    session.lru = lru_.begin();
-    SetActiveGauges();
-  } else if (session.lru != lru_.begin()) {
-    lru_.splice(lru_.begin(), lru_, session.lru);
+  if (inserted) SetActiveGauges();
+  // The recency list serves only the session cap.
+  if (options_.max_sessions > 0) {
+    if (inserted) {
+      lru_.push_front(session_id);
+      session.lru = lru_.begin();
+    } else if (session.lru != lru_.begin()) {
+      lru_.splice(lru_.begin(), lru_, session.lru);
+    }
   }
 
   // Same cleaning rule as the offline segmenter: a fix older than the last
@@ -243,7 +246,7 @@ void SessionManager::CloseSession(int64_t session_id, CloseReason reason,
   auto it = sessions_.find(session_id);
   if (it == sessions_.end()) return;
   CloseSegment(session_id, &it->second, reason, closed);
-  lru_.erase(it->second.lru);
+  if (options_.max_sessions > 0) lru_.erase(it->second.lru);
   sessions_.erase(it);
   if (reason == CloseReason::kIdle) {
     ++stats_.sessions_evicted_idle;

@@ -171,7 +171,7 @@ class SessionManager {
     traj::Mode mode = traj::Mode::kUnknown;
     double start_time = 0.0;
     bool has_last = false;  // Any fix kept since the session was created.
-    std::list<int64_t>::iterator lru;
+    std::list<int64_t>::iterator lru;  // Valid when max_sessions > 0.
 
     /// Points in the open segment (0 = none open).
     size_t count() const { return duration.size(); }
@@ -220,7 +220,8 @@ class SessionManager {
   obs::Gauge* shard_active_ = nullptr;
   /// Ordered map: deterministic iteration for eviction and flush.
   std::map<int64_t, Session> sessions_;
-  /// Recency list, most recently updated first.
+  /// Recency list, most recently updated first; kept only when
+  /// max_sessions > 0.
   std::list<int64_t> lru_;
 };
 

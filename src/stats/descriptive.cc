@@ -25,30 +25,49 @@ double Mean(std::span<const double> values) {
   return sum / static_cast<double>(values.size());
 }
 
-double Variance(std::span<const double> values) {
-  TRAJKIT_CHECK(!values.empty());
-  const double mu = Mean(values);
+namespace {
+
+// Sum of (v - mean)^2 over `values`, in order.
+double SquaredDeviations(std::span<const double> values, double mean) {
   double acc = 0.0;
   for (double v : values) {
-    const double d = v - mu;
+    const double d = v - mean;
     acc += d * d;
   }
-  return acc / static_cast<double>(values.size());
+  return acc;
+}
+
+}  // namespace
+
+double Variance(std::span<const double> values) {
+  return SquaredDeviations(values, Mean(values)) /
+         static_cast<double>(values.size());
 }
 
 double StdDev(std::span<const double> values) {
   return std::sqrt(Variance(values));
 }
 
+Summary Summarize(std::span<const double> values) {
+  TRAJKIT_CHECK(!values.empty());
+  // The comparisons of std::min_element and std::max_element.
+  double lo = values[0];
+  double hi = values[0];
+  double sum = 0.0;
+  for (double v : values) {
+    sum += v;
+    lo = v < lo ? v : lo;
+    hi = hi < v ? v : hi;
+  }
+  const double n = static_cast<double>(values.size());
+  const double mean = sum / n;
+  return {lo, hi, mean, std::sqrt(SquaredDeviations(values, mean) / n)};
+}
+
 double SampleStdDev(std::span<const double> values) {
   TRAJKIT_CHECK_GE(values.size(), 2u);
-  const double mu = Mean(values);
-  double acc = 0.0;
-  for (double v : values) {
-    const double d = v - mu;
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(values.size() - 1));
+  return std::sqrt(SquaredDeviations(values, Mean(values)) /
+                   static_cast<double>(values.size() - 1));
 }
 
 double Median(std::span<const double> values) {
@@ -75,16 +94,13 @@ PercentileRank LocatePercentile(size_t n, double p) {
   return {lo, false, rank - lo_rank};
 }
 
-double PercentileAt(std::span<const double> s, const PercentileRank& r) {
-  if (r.single) return s[r.lo];
-  return s[r.lo] + r.frac * (s[r.lo + 1] - s[r.lo]);
-}
-
-// Percentiles per selection round: two ranks each, so at most 10 ranks
-// live in a fixed array.
+// Percentiles per selection round; each places one rank, so at most 5
+// ranks live in a fixed array.
 constexpr size_t kPercentilesPerRound = 5;
-// Subranges this small are finished with std::sort.
-constexpr size_t kSortCutoff = 64;
+// Subranges this small are finished by insertion sort.
+constexpr size_t kInsertionCutoff = 8;
+// Inputs this small are sorted whole: std::sort beats selection there.
+constexpr size_t kSortWholeCutoff = 32;
 
 // One of a, b, c, and their median when all three are ordered.
 double MedianOfThree(double a, double b, double c) {
@@ -94,6 +110,15 @@ double MedianOfThree(double a, double b, double c) {
   }
   if (a < c) return a;
   return b < c ? c : b;
+}
+
+void InsertionSort(double* first, double* last) {
+  for (double* it = first + 1; it < last; ++it) {
+    const double x = *it;
+    double* hole = it;
+    for (; hole != first && x < hole[-1]; --hole) *hole = hole[-1];
+    *hole = x;
+  }
 }
 
 // Moves the elements of [first, last) that satisfy `pred` to the front,
@@ -117,61 +142,101 @@ double* PartitionBranchless(double* first, double* last, Pred pred) {
 void PlaceRanks(double* base, double* first, double* last,
                 const size_t* ranks, const size_t* ranks_end, int depth) {
   while (ranks != ranks_end) {
-    if (static_cast<size_t>(last - first) <= kSortCutoff || depth == 0) {
+    if (static_cast<size_t>(last - first) <= kInsertionCutoff) {
+      InsertionSort(first, last);
+      return;
+    }
+    if (depth == 0) {
       std::sort(first, last);
       return;
     }
     --depth;
-    // The pivot is an element of the range, so the `== pivot` block below
-    // is never empty (NaN included) and every round shrinks the range.
+    // The pivot is an element of the range, so it lands at or after
+    // `split`, and the block equal to it is never empty (NaN included):
+    // every round shrinks the range.
     const double pivot =
         MedianOfThree(*first, first[(last - first) / 2], last[-1]);
-    double* const lt = PartitionBranchless(
+    double* split = PartitionBranchless(
         first, last, [pivot](double x) { return x < pivot; });
-    double* const le = PartitionBranchless(
-        lt, last, [pivot](double x) { return !(pivot < x); });
-    // [first, lt) < pivot, [lt, le) == pivot, [le, last) > pivot.
-    const size_t lt_rank = static_cast<size_t>(lt - base);
-    const size_t le_rank = static_cast<size_t>(le - base);
+    if (split == first) {
+      // Nothing is below the pivot: [first, split) == pivot is placed.
+      split = PartitionBranchless(
+          first, last, [pivot](double x) { return !(pivot < x); });
+      while (ranks != ranks_end &&
+             *ranks < static_cast<size_t>(split - base)) {
+        ++ranks;
+      }
+      first = split;
+      continue;
+    }
+    // [first, split) < pivot <= [split, last), both non-empty.
     const size_t* left_end = ranks;
-    while (left_end != ranks_end && *left_end < lt_rank) ++left_end;
-    const size_t* right = left_end;
-    while (right != ranks_end && *right < le_rank) ++right;
-    PlaceRanks(base, first, lt, ranks, left_end, depth);
-    first = le;
-    ranks = right;
+    while (left_end != ranks_end &&
+           *left_end < static_cast<size_t>(split - base)) {
+      ++left_end;
+    }
+    PlaceRanks(base, first, split, ranks, left_end, depth);
+    first = split;
+    ranks = left_end;
   }
 }
 
-// Places the ranks that `located` reads in `values`.
-void SelectRanks(std::span<double> values,
-                 std::span<const PercentileRank> located) {
-  // Small inputs are PlaceRanks' base case; skip collecting their ranks.
-  if (values.size() <= kSortCutoff) {
+// Writes to `out` the percentiles `located` reads from `values`. Past
+// kSortWholeCutoff values only the lower order statistic s[lo] of each is
+// placed; the upper one, s[lo + 1], is read as the least value after it.
+void SelectPercentiles(std::span<double> values,
+                       std::span<const PercentileRank> located, double* out) {
+  if (values.size() <= kSortWholeCutoff) {
     std::sort(values.begin(), values.end());
+    for (size_t j = 0; j < located.size(); ++j) {
+      const PercentileRank& r = located[j];
+      const double lo = values[r.lo];
+      out[j] = r.single ? lo : lo + r.frac * (values[r.lo + 1] - lo);
+    }
     return;
   }
-  // Insertion into an ascending, duplicate-free list of at most 10 ranks.
-  std::array<size_t, 2 * kPercentilesPerRound> ranks;
+  // Insertion into an ascending, duplicate-free list of lower ranks.
+  std::array<size_t, kPercentilesPerRound> ranks;
   size_t count = 0;
-  const auto insert = [&ranks, &count](size_t rank) {
-    size_t i = count;
-    while (i > 0 && ranks[i - 1] > rank) --i;
-    if (i > 0 && ranks[i - 1] == rank) return;
-    for (size_t j = count; j > i; --j) ranks[j] = ranks[j - 1];
-    ranks[i] = rank;
-    ++count;
-  };
   for (const PercentileRank& r : located) {
-    insert(r.lo);
-    if (!r.single) insert(r.lo + 1);
+    size_t i = count;
+    while (i > 0 && ranks[i - 1] > r.lo) --i;
+    if (i > 0 && ranks[i - 1] == r.lo) continue;
+    for (size_t j = count; j > i; --j) ranks[j] = ranks[j - 1];
+    ranks[i] = r.lo;
+    ++count;
   }
-  const size_t* const ranks_end = ranks.data() + count;
-  // Past ~2 log2(n) levels the subrange is sorted: O(n log n) worst case.
+  const size_t n = values.size();
+  double* const data = values.data();
+  // Past ~2 log2(n) levels a subrange is sorted: O(n log n) worst case.
   int depth = 0;
-  for (size_t n = values.size(); n > 1; n >>= 1) depth += 2;
-  PlaceRanks(values.data(), values.data(), values.data() + values.size(),
-             ranks.data(), ranks_end, depth);
+  for (size_t m = n; m > 1; m >>= 1) depth += 2;
+  PlaceRanks(data, data, data + n, ranks.data(), ranks.data() + count,
+             depth);
+  // Everything after a placed rank is at least its value, and everything
+  // after the next placed rank is at least that one's: so s[lo + 1] is the
+  // least value from lo + 1 up to the next placed rank (or the end).
+  std::array<double, kPercentilesPerRound> upper{};
+  for (size_t i = 0; i < count; ++i) {
+    const size_t end = i + 1 < count ? ranks[i + 1] + 1 : n;
+    if (ranks[i] + 1 >= end) continue;  // The last order statistic.
+    double least = data[ranks[i] + 1];
+    for (size_t k = ranks[i] + 2; k < end; ++k) {
+      least = data[k] < least ? data[k] : least;
+    }
+    upper[i] = least;
+  }
+  for (size_t j = 0; j < located.size(); ++j) {
+    const PercentileRank& r = located[j];
+    const double lo = data[r.lo];
+    if (r.single) {
+      out[j] = lo;
+      continue;
+    }
+    size_t i = 0;
+    while (ranks[i] != r.lo) ++i;
+    out[j] = lo + r.frac * (upper[i] - lo);
+  }
 }
 
 }  // namespace
@@ -210,10 +275,8 @@ void PercentilesInto(std::span<const double> values,
     for (size_t i = 0; i < count; ++i) {
       located[i] = LocatePercentile(scratch.size(), ps[begin + i]);
     }
-    SelectRanks(scratch, std::span(located.data(), count));
-    for (size_t i = 0; i < count; ++i) {
-      out[begin + i] = PercentileAt(scratch, located[i]);
-    }
+    SelectPercentiles(scratch, std::span(located.data(), count),
+                      out.data() + begin);
   }
 }
 

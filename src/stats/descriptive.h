@@ -16,6 +16,19 @@ double Max(std::span<const double> values);
 /// Arithmetic mean of a non-empty range.
 double Mean(std::span<const double> values);
 
+/// Min, Max, Mean and StdDev of one range.
+struct Summary {
+  double min = 0.0;
+  double max = 0.0;
+  double mean = 0.0;
+  double stddev = 0.0;
+};
+
+/// All four in two passes (min, max and the sum in the first), each field
+/// bit-identical to the separate call: the sums run in the same order, and
+/// the first extreme value wins a tie. Precondition: !values.empty().
+Summary Summarize(std::span<const double> values);
+
 /// Population variance (ddof = 0, numpy default). Precondition: non-empty.
 double Variance(std::span<const double> values);
 
@@ -41,15 +54,19 @@ std::vector<double> Percentiles(std::span<const double> values,
 /// `scratch` as the working copy (refilled each call), so tight extraction
 /// loops pay no per-call allocation. Precondition: out.size() == ps.size().
 ///
-/// Only the order statistics the percentiles read are placed, by rank
-/// selection (a three-way partition around a median-of-three pivot;
-/// subranges of at most 64 values, or past ~2 log2(n) levels, are
-/// sorted). Each result is bit-identical to interpolating on a fully
-/// sorted copy, with one exception inherited from std::sort: when a
-/// percentile reads the last order statistic alone (p = 100, or a rank
-/// that rounds to n-1) and the maximum is a zero of both signs, which of
-/// +0/-0 comes back is unspecified. NaN inputs give unspecified values but
-/// the call returns.
+/// Inputs of at most 32 values are sorted. Past that, only the order
+/// statistics the percentiles read are placed, by rank selection: each
+/// round partitions around a median-of-three pivot in one branchless
+/// `x < pivot` pass, and splits off the block equal to the pivot only when
+/// nothing is below it; subranges of at most 8 values are insertion-sorted,
+/// and past ~2 log2(n) levels a subrange is sorted. Of an interpolated
+/// percentile only the lower order statistic is placed; the upper one is
+/// the least value between it and the next placed rank.
+/// Each result is bit-identical to interpolating on a fully sorted copy,
+/// with one exception inherited from std::sort: when a percentile reads
+/// the last order statistic alone (p = 100, or a rank that rounds to n-1)
+/// and the maximum is a zero of both signs, which of +0/-0 comes back is
+/// unspecified. NaN inputs give unspecified values but the call returns.
 void PercentilesInto(std::span<const double> values,
                      std::span<const double> ps,
                      std::vector<double>& scratch, std::span<double> out);

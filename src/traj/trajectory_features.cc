@@ -78,11 +78,12 @@ std::vector<double> TrajectoryFeatureExtractor::ExtractFromPointFeatures(
     // Percentile(v, 50), which is bit-identical to the p50 entry below.
     stats::PercentilesInto(values, kLocalPercentiles, scratch, pct);
     // Global features.
-    out.push_back(stats::Min(values));
-    out.push_back(stats::Max(values));
-    out.push_back(stats::Mean(values));
+    const stats::Summary summary = stats::Summarize(values);
+    out.push_back(summary.min);
+    out.push_back(summary.max);
+    out.push_back(summary.mean);
     out.push_back(pct[2]);  // median
-    out.push_back(stats::StdDev(values));
+    out.push_back(summary.stddev);
     // Local features (p10/p25/p50/p75/p90).
     out.insert(out.end(), pct.begin(), pct.end());
   }

@@ -1088,6 +1088,96 @@ TEST(ReplayTest, PeriodicIdleEvictionStillEvaluatesEverySegment) {
   EXPECT_EQ(report->correct, fixture.offline_correct);
 }
 
+// The k-way merge feeds the sessions the fixes in (timestamp, trajectory
+// index) order: the same closes as one SessionManager fed a stable sort of
+// all fixes by that key. The corpus has timestamps shared across users, a
+// trajectory that ends early, an empty one, mode changes and a 4-point
+// window, so ties, exhausted cursors and every close path are exercised.
+TEST(ReplayTest, MergeOrderMatchesStableSortedFeed) {
+  const ReplayFixture& fixture = ReplayFixture::Get();
+  struct Spec {
+    int user;
+    size_t points;
+    double start;
+    double step;
+  };
+  // Users 3 and 1 share every timestamp; user 2 stops after six fixes;
+  // user 7 has none; user 5 lands on every other timestamp of 3 and 1;
+  // users 4 and 9 interleave with all of them.
+  const std::vector<Spec> specs = {
+      {3, 40, 0.0, 10.0}, {4, 50, 3.0, 7.0}, {1, 40, 0.0, 10.0},
+      {2, 6, 0.0, 10.0},  {7, 0, 0.0, 10.0}, {9, 120, 1.0, 3.0},
+      {5, 30, 0.0, 5.0}};
+  std::vector<traj::Trajectory> corpus;
+  for (const Spec& spec : specs) {
+    traj::Trajectory trajectory;
+    trajectory.user_id = spec.user;
+    for (size_t i = 0; i < spec.points; ++i) {
+      const double k = static_cast<double>(i);
+      traj::TrajectoryPoint point;
+      point.pos = {39.9 + 0.0001 * k * spec.user, 116.4 + 0.0002 * k};
+      point.timestamp = 1000.0 + spec.start + spec.step * k;
+      point.mode = (i / 14) % 2 == 0 ? traj::Mode::kWalk : traj::Mode::kBike;
+      trajectory.points.push_back(point);
+    }
+    corpus.push_back(std::move(trajectory));
+  }
+
+  ServingPlaneOptions plane_options;
+  plane_options.session.min_points = 2;
+  plane_options.session.max_segment_points = 4;
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(fixture.model).ok());
+  ServingPlane plane(&registry, plane_options);
+  std::vector<ClosedSegment> replayed;
+  ReplayOptions options;
+  options.closed_sink = [&](const ClosedSegment& segment, int) {
+    replayed.push_back(segment);
+  };
+  const auto report =
+      ReplayCorpus(corpus, fixture.labels, plane, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  struct Fix {
+    double timestamp;
+    size_t trajectory;
+    int user;
+    traj::TrajectoryPoint point;
+  };
+  std::vector<Fix> fixes;
+  for (size_t t = 0; t < corpus.size(); ++t) {
+    for (const traj::TrajectoryPoint& point : corpus[t].points) {
+      fixes.push_back({point.timestamp, t, corpus[t].user_id, point});
+    }
+  }
+  std::stable_sort(fixes.begin(), fixes.end(),
+                   [](const Fix& a, const Fix& b) {
+                     if (a.timestamp != b.timestamp) {
+                       return a.timestamp < b.timestamp;
+                     }
+                     return a.trajectory < b.trajectory;
+                   });
+  SessionManager sessions(plane_options.session);
+  std::vector<ClosedSegment> expected;
+  for (const Fix& fix : fixes) sessions.Ingest(fix.user, fix.point, &expected);
+  sessions.FlushAll(&expected);
+
+  EXPECT_EQ(report->points, fixes.size());
+  ASSERT_EQ(replayed.size(), expected.size());
+  ASSERT_GT(expected.size(), 20u);
+  bool mode_change = false;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE("close " + std::to_string(i));
+    EXPECT_EQ(replayed[i].session_id, expected[i].session_id);
+    EXPECT_EQ(replayed[i].start_time, expected[i].start_time);
+    EXPECT_EQ(replayed[i].end_time, expected[i].end_time);
+    EXPECT_EQ(replayed[i].num_points, expected[i].num_points);
+    EXPECT_EQ(replayed[i].reason, expected[i].reason);
+    mode_change |= expected[i].reason == CloseReason::kModeChange;
+  }
+  EXPECT_TRUE(mode_change);
+}
+
 // ------------------------------------------------- Request lifecycle --
 
 TEST(BatchPredictorTest, ExpiredDeadlineFailsFastAtSubmit) {

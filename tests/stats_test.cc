@@ -46,6 +46,36 @@ TEST(DescriptiveTest, SampleStdDev) {
   EXPECT_NEAR(SampleStdDev(v), 1.2909944487358056, 1e-12);
 }
 
+// The summary is the separate calls, bit for bit: zeros of both signs
+// and infinities included.
+TEST(DescriptiveTest, SummarizeMatchesSeparateCalls) {
+  Rng rng(31);
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t n = 1 + rng.NextBounded(300);
+    std::vector<double> v(n);
+    for (double& x : v) {
+      const uint64_t pick = rng.NextBounded(10);
+      x = pick == 0   ? 0.0
+          : pick == 1 ? -0.0
+          : pick == 2 && trial % 4 == 3 ? (rng.NextBounded(2) ? inf : -inf)
+                                        : rng.Gaussian(0.0, 5.0);
+    }
+    const Summary summary = Summarize(v);
+    EXPECT_TRUE(same(summary.min, Min(v))) << "trial " << trial;
+    EXPECT_TRUE(same(summary.max, Max(v))) << "trial " << trial;
+    EXPECT_TRUE(same(summary.mean, Mean(v))) << "trial " << trial;
+    EXPECT_TRUE(same(summary.stddev, StdDev(v))) << "trial " << trial;
+  }
+  // Ties between +0 and -0: the first one wins, as in min/max_element.
+  const std::vector<double> zeros = {0.0, -0.0, 0.0};
+  EXPECT_FALSE(std::signbit(Summarize(zeros).min));
+  EXPECT_FALSE(std::signbit(Summarize(zeros).max));
+}
+
 TEST(DescriptiveTest, MedianEvenAndOdd) {
   EXPECT_DOUBLE_EQ(Median(std::vector<double>{3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(Median(std::vector<double>{4.0, 1.0, 3.0, 2.0}), 2.5);
@@ -238,6 +268,25 @@ TEST(PercentileSelectionTest, BitIdenticalToFullSortOnAdversarialOrders) {
     ExpectBitIdentical(zeros, kMixedPs, "-0 then +0");
     std::reverse(zeros.begin(), zeros.end() - 1);
     ExpectBitIdentical(zeros, kMixedPs, "+0 then -0");
+  }
+}
+
+// Two percentiles of one round whose lower ranks are neighbours: the upper
+// order statistic of the first is the placed rank of the second.
+TEST(PercentileSelectionTest, AdjacentLowerRanksInOneRound) {
+  Rng rng(17);
+  for (const size_t n : OracleSizes()) {
+    if (n < 3) continue;
+    const double step = 100.0 / static_cast<double>(n - 1);
+    for (const double p : {0.0, 37.0, 50.0, 88.0}) {
+      const std::vector<double> ps = {p, std::min(100.0, p + step),
+                                      std::min(100.0, p + 2.5 * step)};
+      for (const Distribution distribution :
+           {Distribution::kGaussian, Distribution::kDuplicates}) {
+        ExpectBitIdentical(MakeValues(distribution, n, rng), ps,
+                           "adjacent ranks p=" + std::to_string(p));
+      }
+    }
   }
 }
 

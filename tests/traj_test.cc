@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "geo/geodesy.h"
@@ -387,6 +391,107 @@ TEST(TrajectoryFeaturesTest, PercentilesOrderedWithinChannel) {
     EXPECT_LE(value(Statistic::kP50), value(Statistic::kP75));
     EXPECT_LE(value(Statistic::kP75), value(Statistic::kP90));
     EXPECT_LE(value(Statistic::kP90), value(Statistic::kMax));
+  }
+}
+
+// The 70 statistics the plain way: each channel fully sorted for the
+// percentiles (numpy "linear"), and stats::Min/Max/Mean/StdDev called one
+// by one.
+std::vector<double> ReferenceTrajectoryFeatures(const PointFeatures& f) {
+  std::vector<double> out;
+  for (int channel = 0; channel < kNumFeatureChannels; ++channel) {
+    const std::span<const double> values = ChannelValues(f, channel);
+    std::vector<double> sorted(values.begin(), values.end());
+    std::sort(sorted.begin(), sorted.end());
+    const auto percentile = [&sorted](double p) {
+      const double rank =
+          p / 100.0 * static_cast<double>(sorted.size() - 1);
+      const double lo_rank = std::floor(rank);
+      const size_t lo = static_cast<size_t>(lo_rank);
+      if (lo + 1 >= sorted.size()) return sorted.back();
+      return sorted[lo] + (rank - lo_rank) * (sorted[lo + 1] - sorted[lo]);
+    };
+    out.push_back(stats::Min(values));
+    out.push_back(stats::Max(values));
+    out.push_back(stats::Mean(values));
+    out.push_back(percentile(50.0));
+    out.push_back(stats::StdDev(values));
+    for (const double p : {10.0, 25.0, 50.0, 75.0, 90.0}) {
+      out.push_back(percentile(p));
+    }
+  }
+  return out;
+}
+
+// Random channels of `n` fixes. `kind` 0: Gaussian; 1: duplicate-heavy
+// (a few small integers and zeros of both signs); 2: a stationary segment,
+// where distance, speed and the bearing channels are zero and the rates
+// mostly so.
+PointFeatures RandomPointFeatures(size_t n, int kind, Rng& rng) {
+  PointFeatures f;
+  for (std::vector<double>* column :
+       {&f.duration, &f.distance, &f.speed, &f.acceleration, &f.jerk,
+        &f.bearing, &f.bearing_rate, &f.bearing_rate_rate}) {
+    column->resize(n);
+    for (double& x : *column) {
+      switch (kind) {
+        case 0:
+          x = rng.Gaussian(0.0, 10.0);
+          break;
+        case 1: {
+          const uint64_t pick = rng.NextBounded(8);
+          x = pick == 0   ? -0.0
+              : pick == 1 ? 0.0
+                          : static_cast<double>(pick % 3);
+          break;
+        }
+        default:
+          x = rng.NextBounded(16) == 0 ? rng.Gaussian(0.0, 1e-3) : 0.0;
+          break;
+      }
+    }
+  }
+  if (kind == 2) {
+    std::fill(f.distance.begin(), f.distance.end(), 0.0);
+    std::fill(f.speed.begin(), f.speed.end(), 0.0);
+    std::fill(f.bearing.begin(), f.bearing.end(), 0.0);
+  }
+  return f;
+}
+
+TEST(TrajectoryFeaturesTest, ExtractionBitIdenticalToFullSortReference) {
+  std::vector<size_t> sizes;
+  for (size_t n = 2; n <= 200; ++n) sizes.push_back(n);
+  for (const size_t n : {584u, 1000u, 5000u}) sizes.push_back(n);
+  Rng rng(2019);
+  const TrajectoryFeatureExtractor extractor;
+  for (const size_t n : sizes) {
+    for (int kind = 0; kind < 3; ++kind) {
+      const PointFeatures f = RandomPointFeatures(n, kind, rng);
+      const std::vector<double> got = extractor.ExtractFromPointFeatures(f);
+      const std::vector<double> expected = ReferenceTrajectoryFeatures(f);
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(std::memcmp(&got[i], &expected[i], sizeof(double)), 0)
+            << TrajectoryFeatureExtractor::FeatureNames()[i] << " n=" << n
+            << " kind=" << kind << " got=" << got[i]
+            << " expected=" << expected[i];
+      }
+    }
+  }
+  // Real kernels too: a walk with a stationary stretch in the middle.
+  for (const size_t n : {2u, 37u, 584u, 1000u}) {
+    std::vector<TrajectoryPoint> points = StraightRun(
+        static_cast<int>(n), 2.0, 3.0);
+    for (size_t i = n / 3; i < 2 * n / 3; ++i) {
+      points[i].pos = points[n / 3].pos;
+    }
+    const PointFeatures f = ComputePointFeatures(points);
+    EXPECT_EQ(std::memcmp(extractor.ExtractFromPointFeatures(f).data(),
+                          ReferenceTrajectoryFeatures(f).data(),
+                          kNumTrajectoryFeatures * sizeof(double)),
+              0)
+        << "walk n=" << n;
   }
 }
 
