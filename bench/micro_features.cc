@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/harness_options.h"
@@ -77,15 +78,21 @@ void BM_TrajectoryFeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_TrajectoryFeatureExtraction)->Range(64, 16384);
 
+// How many different inputs of `n` values a benchmark cycles through: at
+// least 64, holding at least 32,768 values in all, so the branch predictor
+// cannot learn their comparison outcomes. std::sort of 32 values cycling
+// through 64 inputs runs about as fast as on one input, and 3-4x slower
+// through 256 or more.
+size_t CycledInputCount(size_t n) { return std::max<size_t>(64, 32768 / n); }
+
 // The segment-close kernel: the 70 statistics over already-derived point
 // features. Sizes: 32 (a windowed segment) and 584 (the mean trips segment;
-// see BM_Percentiles). Iterations cycle through 16 different walks, so the
-// branch predictor cannot learn one input's comparison outcomes.
+// see BM_Percentiles). Iterations cycle through different walks.
 void BM_ExtractFromPointFeatures(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
   std::vector<traj::PointFeatures> segments;
-  for (uint64_t seed = 1; seed <= 16; ++seed) {
-    segments.push_back(traj::ComputePointFeatures(
-        RandomWalkPoints(static_cast<size_t>(state.range(0)), seed)));
+  for (uint64_t seed = 1; seed <= CycledInputCount(n); ++seed) {
+    segments.push_back(traj::ComputePointFeatures(RandomWalkPoints(n, seed)));
   }
   const traj::TrajectoryFeatureExtractor extractor;
   size_t next = 0;
@@ -101,25 +108,40 @@ BENCHMARK(BM_ExtractFromPointFeatures)->Arg(32)->Arg(584);
 // The six order statistics of one channel at segment close, with the
 // scratch reused as in TrajectoryFeatureExtractor. Sizes: 32 (a windowed
 // segment), 584 (the mean closed segment of the e2e trips workload at seed
-// 7: 700,000 points in 1,198 segments) and 4861 (a long one).
+// 7: 700,000 points in 1,198 segments) and 4861 (a long one). Iterations
+// cycle through CycledInputCount different inputs.
 void RunPercentiles(benchmark::State& state,
-                    const std::vector<double>& values) {
+                    const std::vector<std::vector<double>>& inputs) {
   const std::vector<double> ps = {10.0, 25.0, 50.0, 75.0, 90.0};
   std::vector<double> scratch;
   std::vector<double> out(ps.size());
+  size_t next = 0;
   for (auto _ : state) {
-    stats::PercentilesInto(values, ps, scratch, out);
+    stats::PercentilesInto(inputs[next], ps, scratch, out);
     benchmark::DoNotOptimize(out.data());
+    next = (next + 1) % inputs.size();
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(values.size()));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+// `draw` returns one value of an input.
+template <typename Draw>
+std::vector<std::vector<double>> PercentileInputs(benchmark::State& state,
+                                                  Draw draw) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<std::vector<double>> inputs(CycledInputCount(n),
+                                          std::vector<double>(n));
+  for (auto& values : inputs) {
+    for (auto& v : values) v = draw();
+  }
+  return inputs;
 }
 
 void BM_Percentiles(benchmark::State& state) {
   Rng rng(5);
-  std::vector<double> values(static_cast<size_t>(state.range(0)));
-  for (auto& v : values) v = rng.Gaussian(0.0, 10.0);
-  RunPercentiles(state, values);
+  RunPercentiles(state, PercentileInputs(state, [&rng] {
+                   return rng.Gaussian(0.0, 10.0);
+                 }));
 }
 BENCHMARK(BM_Percentiles)->Arg(32)->Arg(584)->Arg(4861);
 
@@ -127,13 +149,13 @@ BENCHMARK(BM_Percentiles)->Arg(32)->Arg(584)->Arg(4861);
 // with zeros and a few repeated values.
 void BM_PercentilesDuplicates(benchmark::State& state) {
   Rng rng(5);
-  std::vector<double> values(static_cast<size_t>(state.range(0)));
-  for (auto& v : values) {
-    v = rng.NextBounded(2) == 0 ? 0.0 : static_cast<double>(rng.NextBounded(4));
-  }
-  RunPercentiles(state, values);
+  RunPercentiles(state, PercentileInputs(state, [&rng] {
+                   return rng.NextBounded(2) == 0
+                              ? 0.0
+                              : static_cast<double>(rng.NextBounded(4));
+                 }));
 }
-BENCHMARK(BM_PercentilesDuplicates)->Arg(584);
+BENCHMARK(BM_PercentilesDuplicates)->Arg(32)->Arg(584);
 
 // Per-point cost of the serving path's feature work: SessionManager ingest
 // of a 584-point segment (the leg step per fix) plus its close (the derive

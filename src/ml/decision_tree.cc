@@ -41,6 +41,13 @@ uint32_t RowOf(uint64_t key) { return static_cast<uint32_t>(key); }
 // Integer weights summing below 2^53 add exactly in any order.
 constexpr double kExactIntegerSum = 9007199254740992.0;
 
+// How far a boundary's Gini bound must fall below the best decrease before
+// the boundary is skipped. Both forms of the decrease sum terms in [0, 1]
+// with a few roundings per class, so below kGiniBoundMaxClasses classes
+// each is within 1e-10 of the true value.
+constexpr double kGiniBoundMargin = 1e-9;
+constexpr size_t kGiniBoundMaxClasses = 100000;
+
 }  // namespace
 
 Result<ColumnRanks> ColumnRanks::Build(const Matrix& x) {
@@ -295,6 +302,15 @@ int DecisionTree::BuildNode(const FitInputs& in, std::vector<size_t>& indices,
 
   std::vector<double>& left_counts = scratch.left_counts;
   left_counts.resize(k);
+  // The Gini bound below needs the sums of squared class counts exact:
+  // integer counts whose squares sum below 2^53.
+  const bool gini_bound = params_.criterion == SplitCriterion::kGini &&
+                          in.integer_weights && k < kGiniBoundMaxClasses &&
+                          total_weight * total_weight < kExactIntegerSum;
+  double node_sum_sq = 0.0;
+  if (gini_bound) {
+    for (const double c : counts) node_sum_sq += c * c;
+  }
 
   for (int ci = 0; ci < num_candidates; ++ci) {
     const int f = candidates[static_cast<size_t>(ci)];
@@ -328,6 +344,9 @@ int DecisionTree::BuildNode(const FitInputs& in, std::vector<size_t>& indices,
 
     std::fill(left_counts.begin(), left_counts.end(), 0.0);
     double left_weight = 0.0;
+    // Sums of the squared class counts on each side, kept exactly.
+    double left_sum_sq = 0.0;
+    double right_sum_sq = node_sum_sq;
     // Whether non-zero weight joined the left side since the last
     // evaluated boundary. If none did, the sums, and so the decrease, are
     // bit for bit those of that boundary, which the strict `>` below
@@ -338,7 +357,14 @@ int DecisionTree::BuildNode(const FitInputs& in, std::vector<size_t>& indices,
       const size_t row = RowOf(sorted[i]);
       const double weight = w[row];
       if (weight != 0.0) {
-        left_counts[static_cast<size_t>(y[row])] += weight;
+        double& left_count = left_counts[static_cast<size_t>(y[row])];
+        if (gini_bound) {
+          const double right_count =
+              counts[static_cast<size_t>(y[row])] - left_count;
+          left_sum_sq += weight * (2.0 * left_count + weight);
+          right_sum_sq -= weight * (2.0 * right_count - weight);
+        }
+        left_count += weight;
         left_weight += weight;
         moved = true;
       }
@@ -352,6 +378,19 @@ int DecisionTree::BuildNode(const FitInputs& in, std::vector<size_t>& indices,
       if (!moved) continue;
       moved = false;
       const double right_weight = total_weight - left_weight;
+      if (gini_bound && left_weight > 0.0 && right_weight > 0.0) {
+        // The Gini decrease is node_impurity - 1 + (L/lw + R/rw) / total,
+        // with L and R the squared-count sums. This form and the one
+        // below each stay within 1e-10 of it; a boundary whose bound
+        // misses the best by kGiniBoundMargin could not pass the strict
+        // `>`, so its per-class evaluation is skipped and every tree stays
+        // bit-identical.
+        const double bound =
+            node_impurity - 1.0 +
+            (left_sum_sq * right_weight + right_sum_sq * left_weight) /
+                (left_weight * right_weight * total_weight);
+        if (bound + kGiniBoundMargin < best.impurity_decrease) continue;
+      }
       double left_impurity =
           ImpurityFromCounts(left_counts, left_weight, params_.criterion);
       // Right counts derived from totals.

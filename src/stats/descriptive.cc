@@ -3,6 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/check.h"
 
@@ -76,31 +83,95 @@ double Median(std::span<const double> values) {
 
 namespace {
 
-// Where percentile `p` of `n` sorted values reads (numpy "linear"): the
-// order statistic s[lo] alone when `single`, else
-// s[lo] + frac * (s[lo + 1] - s[lo]).
-struct PercentileRank {
-  size_t lo = 0;
-  bool single = true;
-  double frac = 0.0;
-};
-
-PercentileRank LocatePercentile(size_t n, double p) {
-  if (n == 1) return {};
-  const double rank = (p / 100.0) * static_cast<double>(n - 1);
-  const double lo_rank = std::floor(rank);
-  const size_t lo = static_cast<size_t>(lo_rank);
-  if (lo + 1 >= n) return {n - 1, true, 0.0};
-  return {lo, false, rank - lo_rank};
-}
-
 // Percentiles per selection round; each places one rank, so at most 5
 // ranks live in a fixed array.
 constexpr size_t kPercentilesPerRound = 5;
 // Subranges this small are finished by insertion sort.
 constexpr size_t kInsertionCutoff = 8;
-// Inputs this small are sorted whole: std::sort beats selection there.
-constexpr size_t kSortWholeCutoff = 32;
+// Inputs this small are sorted whole, by the comparator network below.
+constexpr size_t kNetworkWidth = 32;
+
+// One compare-exchange of a sorting network: v[lo] <= v[hi] afterwards.
+struct Comparator {
+  uint8_t lo;
+  uint8_t hi;
+};
+
+// Batcher's odd-even merge sort over `width` (a power of two) inputs, in
+// its iterative form; with out == nullptr it only counts the comparators.
+constexpr size_t BatcherComparators(size_t width, Comparator* out) {
+  size_t count = 0;
+  for (size_t p = 1; p < width; p *= 2) {
+    for (size_t k = p; k >= 1; k /= 2) {
+      for (size_t j = k % p; j + k < width; j += 2 * k) {
+        for (size_t i = 0; i < k && i + j + k < width; ++i) {
+          if ((i + j) / (2 * p) != (i + j + k) / (2 * p)) continue;
+          if (out != nullptr) {
+            out[count] = {static_cast<uint8_t>(i + j),
+                          static_cast<uint8_t>(i + j + k)};
+          }
+          ++count;
+        }
+      }
+    }
+  }
+  return count;
+}
+
+constexpr size_t kNetworkSize = BatcherComparators(kNetworkWidth, nullptr);
+static_assert(kNetworkSize == 191, "Batcher's network sorts 32 in 191");
+
+constexpr std::array<Comparator, kNetworkSize> kNetwork = [] {
+  std::array<Comparator, kNetworkSize> network{};
+  BatcherComparators(kNetworkWidth, network.data());
+  return network;
+}();
+
+// Without a NaN, the only doubles that compare equal but differ in bits
+// are +0 and -0, so min/max may hand back either zero (minsd and maxsd
+// both return their second operand on a tie) without changing any value
+// a percentile reads; see SortSmall.
+inline void CompareExchange(double* v, size_t lo, size_t hi) {
+#if defined(__SSE2__)
+  const __m128d a = _mm_load_sd(v + lo);
+  const __m128d b = _mm_load_sd(v + hi);
+  _mm_store_sd(v + lo, _mm_min_sd(a, b));
+  _mm_store_sd(v + hi, _mm_max_sd(a, b));
+#else
+  const double a = v[lo];
+  const double b = v[hi];
+  v[lo] = a < b ? a : b;
+  v[hi] = a > b ? a : b;
+#endif
+}
+
+// Every comparator of kNetwork, unrolled so each index is a constant.
+template <size_t... I>
+inline void RunNetwork(double* v, std::index_sequence<I...>) {
+  (CompareExchange(v, kNetwork[I].lo, kNetwork[I].hi), ...);
+}
+
+// Copies `values` (1 to kNetworkWidth of them) into sorted[0, n) in
+// ascending order; `sorted` has kNetworkWidth slots. Without a NaN, the
+// network sorts them padded with +inf to its width: +inf stays above every
+// real value, so the first n outputs are the input's order statistics.
+// With a NaN there is no order to respect, and std::sort on the n values
+// in input order keeps the result what it always was.
+void SortSmall(std::span<const double> values, double* sorted) {
+  const size_t n = values.size();
+  bool nan = false;
+  for (size_t i = 0; i < n; ++i) {
+    sorted[i] = values[i];
+    nan |= std::isnan(values[i]);
+  }
+  if (nan) {
+    std::sort(sorted, sorted + n);
+    return;
+  }
+  std::fill(sorted + n, sorted + kNetworkWidth,
+            std::numeric_limits<double>::infinity());
+  RunNetwork(sorted, std::make_index_sequence<kNetworkSize>{});
+}
 
 // One of a, b, c, and their median when all three are ordered.
 double MedianOfThree(double a, double b, double c) {
@@ -181,22 +252,14 @@ void PlaceRanks(double* base, double* first, double* last,
   }
 }
 
-// Writes to `out` the percentiles `located` reads from `values`. Past
-// kSortWholeCutoff values only the lower order statistic s[lo] of each is
-// placed; the upper one, s[lo + 1], is read as the least value after it.
+// Writes to `out` the percentiles `located` (at most kPercentilesPerRound)
+// reads from `values`, which holds more than kNetworkWidth values and is
+// left permuted. Only the lower order statistic s[lo] of each is placed;
+// the upper one, s[lo + 1], is read as the least value after it.
 void SelectPercentiles(std::span<double> values,
                        std::span<const PercentileRank> located, double* out) {
-  if (values.size() <= kSortWholeCutoff) {
-    std::sort(values.begin(), values.end());
-    for (size_t j = 0; j < located.size(); ++j) {
-      const PercentileRank& r = located[j];
-      const double lo = values[r.lo];
-      out[j] = r.single ? lo : lo + r.frac * (values[r.lo + 1] - lo);
-    }
-    return;
-  }
   // Insertion into an ascending, duplicate-free list of lower ranks.
-  std::array<size_t, kPercentilesPerRound> ranks;
+  std::array<size_t, kPercentilesPerRound> ranks{};
   size_t count = 0;
   for (const PercentileRank& r : located) {
     size_t i = count;
@@ -241,6 +304,18 @@ void SelectPercentiles(std::span<double> values,
 
 }  // namespace
 
+PercentileRank LocatePercentile(size_t n, double p) {
+  TRAJKIT_CHECK_GT(n, 0u);
+  TRAJKIT_CHECK_GE(p, 0.0);
+  TRAJKIT_CHECK_LE(p, 100.0);
+  if (n == 1) return {};
+  const double rank = (p / 100.0) * static_cast<double>(n - 1);
+  const double lo_rank = std::floor(rank);
+  const size_t lo = static_cast<size_t>(lo_rank);
+  if (lo + 1 >= n) return {n - 1, true, 0.0};
+  return {lo, false, rank - lo_rank};
+}
+
 double Percentile(std::span<const double> values, double p) {
   double out = 0.0;
   std::vector<double> scratch;
@@ -262,22 +337,39 @@ void PercentilesInto(std::span<const double> values,
                      std::vector<double>& scratch, std::span<double> out) {
   TRAJKIT_CHECK(!values.empty());
   TRAJKIT_CHECK_EQ(out.size(), ps.size());
-  for (const double p : ps) {
-    TRAJKIT_CHECK_GE(p, 0.0);
-    TRAJKIT_CHECK_LE(p, 100.0);
-  }
-  scratch.assign(values.begin(), values.end());
-  // Selection leaves `scratch` a permutation of `values`, so each round
-  // can select again on what the previous one left.
   std::array<PercentileRank, kPercentilesPerRound> located;
   for (size_t begin = 0; begin < ps.size(); begin += kPercentilesPerRound) {
     const size_t count = std::min(kPercentilesPerRound, ps.size() - begin);
     for (size_t i = 0; i < count; ++i) {
-      located[i] = LocatePercentile(scratch.size(), ps[begin + i]);
+      located[i] = LocatePercentile(values.size(), ps[begin + i]);
     }
-    SelectPercentiles(scratch, std::span(located.data(), count),
-                      out.data() + begin);
+    PercentilesAt(values, std::span(located.data(), count), scratch,
+                  out.subspan(begin, count));
   }
+}
+
+void PercentilesAt(std::span<const double> values,
+                   std::span<const PercentileRank> located,
+                   std::vector<double>& scratch, std::span<double> out) {
+  const size_t n = values.size();
+  TRAJKIT_CHECK_GT(n, 0u);
+  TRAJKIT_CHECK_EQ(out.size(), located.size());
+  TRAJKIT_CHECK_LE(located.size(), kPercentilesPerRound);
+  for (const PercentileRank& r : located) {
+    TRAJKIT_CHECK_LT(r.single ? r.lo : r.lo + 1, n);
+  }
+  if (n <= kNetworkWidth) {
+    alignas(16) std::array<double, kNetworkWidth> sorted{};
+    SortSmall(values, sorted.data());
+    for (size_t j = 0; j < located.size(); ++j) {
+      const PercentileRank& r = located[j];
+      const double lo = sorted[r.lo];
+      out[j] = r.single ? lo : lo + r.frac * (sorted[r.lo + 1] - lo);
+    }
+    return;
+  }
+  scratch.assign(values.begin(), values.end());
+  SelectPercentiles(scratch, located, out.data());
 }
 
 void RunningStats::Add(double x) {

@@ -51,25 +51,52 @@ std::vector<double> Percentiles(std::span<const double> values,
                                 std::span<const double> ps);
 
 /// Like Percentiles, but writes the ps.size() results into `out` and uses
-/// `scratch` as the working copy (refilled each call), so tight extraction
-/// loops pay no per-call allocation. Precondition: out.size() == ps.size().
+/// `scratch` as the working copy (refilled for every five percentiles)
+/// when the input is longer than 32 values, so tight extraction loops pay
+/// no per-call allocation. Precondition: out.size() == ps.size().
 ///
-/// Inputs of at most 32 values are sorted. Past that, only the order
-/// statistics the percentiles read are placed, by rank selection: each
-/// round partitions around a median-of-three pivot in one branchless
+/// Inputs of at most 32 values are copied into a stack buffer and sorted
+/// by a fixed network of 191 branchless compare-exchanges (Batcher's
+/// odd-even merge sort, padded with +inf to 32); an input holding a NaN is
+/// sorted by std::sort instead. Past 32 values, only the order statistics
+/// the percentiles read are placed, by rank selection: each round
+/// partitions around a median-of-three pivot in one branchless
 /// `x < pivot` pass, and splits off the block equal to the pivot only when
 /// nothing is below it; subranges of at most 8 values are insertion-sorted,
 /// and past ~2 log2(n) levels a subrange is sorted. Of an interpolated
 /// percentile only the lower order statistic is placed; the upper one is
 /// the least value between it and the next placed rank.
-/// Each result is bit-identical to interpolating on a fully sorted copy,
-/// with one exception inherited from std::sort: when a percentile reads
-/// the last order statistic alone (p = 100, or a rank that rounds to n-1)
-/// and the maximum is a zero of both signs, which of +0/-0 comes back is
-/// unspecified. NaN inputs give unspecified values but the call returns.
+/// Each result is bit-identical to interpolating on a std::sort-ed copy:
+/// without a NaN the two orders differ at most in the signs of zeros, and
+/// an interpolation between zeros is +0 whatever their signs. The one
+/// exception: when a percentile reads the last order statistic alone
+/// (p = 100, or a rank that rounds to n-1) and the maximum is a zero of
+/// both signs, which of +0/-0 comes back is unspecified, as it is for
+/// std::sort. NaN inputs give unspecified values but the call returns.
 void PercentilesInto(std::span<const double> values,
                      std::span<const double> ps,
                      std::vector<double>& scratch, std::span<double> out);
+
+/// Where percentile `p` of `n` sorted values reads (numpy "linear"): the
+/// order statistic s[lo] alone when `single`, else
+/// s[lo] + frac * (s[lo + 1] - s[lo]).
+struct PercentileRank {
+  size_t lo = 0;
+  bool single = true;
+  double frac = 0.0;
+};
+
+/// The rank percentile `p` in [0, 100] reads from `n` >= 1 values. Every
+/// input of the same length reads the same ranks, so callers that take the
+/// same percentiles of several equal-length ranges locate them once.
+PercentileRank LocatePercentile(size_t n, double p);
+
+/// The kernel of PercentilesInto, over ranks already located for
+/// values.size(): writes the percentile each of `located` (at most 5)
+/// reads into `out`. Precondition: out.size() == located.size().
+void PercentilesAt(std::span<const double> values,
+                   std::span<const PercentileRank> located,
+                   std::vector<double>& scratch, std::span<double> out);
 
 /// Single-pass accumulator for min/max/mean/variance (Welford). Useful for
 /// streaming point features without materializing them.

@@ -69,14 +69,24 @@ std::vector<double> TrajectoryFeatureExtractor::ExtractFromPointFeatures(
     const PointFeatures& features) const {
   std::vector<double> out;
   out.reserve(kNumTrajectoryFeatures);
-  std::vector<double> scratch;  // Percentile scratch, reused across channels.
+  // Every channel holds one value per fix, so all seven read the same
+  // percentile ranks.
+  const size_t n = features.size();
+  std::array<stats::PercentileRank, kLocalPercentiles.size()> located;
+  for (size_t i = 0; i < located.size(); ++i) {
+    located[i] = stats::LocatePercentile(n, kLocalPercentiles[i]);
+  }
+  // Selection scratch, reused across channels; channels of at most 32
+  // values are sorted on the stack and never touch it.
+  std::vector<double> scratch;
   std::array<double, kLocalPercentiles.size()> pct;
   for (int channel = 0; channel < kNumFeatureChannels; ++channel) {
     const std::span<const double> values = ChannelValues(features, channel);
+    TRAJKIT_CHECK_EQ(values.size(), n);
     // All six order statistics (median + five local percentiles) share ONE
-    // rank selection per channel: Median(v) is defined as
+    // sort or rank selection per channel: Median(v) is defined as
     // Percentile(v, 50), which is bit-identical to the p50 entry below.
-    stats::PercentilesInto(values, kLocalPercentiles, scratch, pct);
+    stats::PercentilesAt(values, located, scratch, pct);
     // Global features.
     const stats::Summary summary = stats::Summarize(values);
     out.push_back(summary.min);

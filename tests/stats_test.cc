@@ -162,6 +162,20 @@ void ExpectBitIdentical(const std::vector<double>& values,
                         ps.size() * sizeof(double)),
             0)
       << what;
+  // So does PercentilesAt, in rounds of at most five located ranks.
+  std::vector<double> at(ps.size());
+  for (size_t begin = 0; begin < ps.size(); begin += 5) {
+    const size_t count = std::min<size_t>(5, ps.size() - begin);
+    std::vector<PercentileRank> located;
+    for (size_t i = begin; i < begin + count; ++i) {
+      located.push_back(LocatePercentile(values.size(), ps[i]));
+    }
+    PercentilesAt(values, located, scratch,
+                  std::span(at.data() + begin, count));
+  }
+  EXPECT_EQ(std::memcmp(at.data(), got.data(), ps.size() * sizeof(double)),
+            0)
+      << what << " (PercentilesAt)";
 }
 
 // Value distributions. Each returns n values in random order.
@@ -301,6 +315,31 @@ TEST(PercentileSelectionTest, AllZerosOfBothSignsInterpolateToPositiveZero) {
     ExpectBitIdentical(v, kFeaturePs, "all zeros");
     for (const double value : Percentiles(v, kFeaturePs)) {
       EXPECT_FALSE(std::signbit(value));
+    }
+  }
+}
+
+// Up to 32 values the kernel sorts with a comparator network, which has
+// no answer for NaN; an input holding one takes std::sort, so it reads
+// exactly what the full-sort reference reads.
+TEST(PercentileSelectionTest, NanInputOfAtMost32MatchesStdSort) {
+  Rng rng(29);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t n = 1; n <= 32; ++n) {
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<double> v = MakeValues(
+          trial % 2 == 0 ? Distribution::kGaussian : Distribution::kInfinities,
+          n, rng);
+      if (trial < 2) {
+        v[rng.NextBounded(n)] = nan;  // One NaN.
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          if (trial == 5 || rng.NextBounded(3) == 0) v[i] = -nan;
+        }
+      }
+      const std::string what = "NaN trial " + std::to_string(trial);
+      ExpectBitIdentical(v, kFeaturePs, what);
+      ExpectBitIdentical(v, kMixedPs, what);
     }
   }
 }

@@ -17,7 +17,7 @@
 #      shadow-promotion run under chaos — >= 1 promotion in the trace
 #      export, metrics, and the statusz registry-audit section
 #   5. TSan:   concurrency-labelled tests under ThreadSanitizer
-#   6. ASan:   the full suite under AddressSanitizer
+#   6. ASan:   the full suite under AddressSanitizer + UBSan
 #   7. bench:  perf-regression gate (tools/check_bench.py) against the
 #              checked-in BENCH_baseline.json (which must be its own
 #              --update serialisation), incl. the shadow-scoring
@@ -323,7 +323,7 @@ else
     "${COMMON_CMAKE_ARGS[@]}"
   cmake --build "$ASAN_BUILD_DIR" -j "$JOBS"
 
-  echo "==> ASan: full ctest"
+  echo "==> ASan: full ctest (ASan + UBSan)"
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -j "$JOBS"
 fi
 
