@@ -21,6 +21,12 @@ struct Cursor {
 
 constexpr uint64_t kRetrySeed = 0x72657472790aULL;  // Backoff jitter.
 
+/// Segments closed since the last drain that force one. A replay without
+/// ticks or a trainer has no other barrier before end of stream; this
+/// bounds what it stages and keeps in flight. It counts closes, so the
+/// drain positions are a pure function of the corpus, like the ticks.
+constexpr size_t kMaxPendingSegments = 1024;
+
 struct CursorLater {
   bool operator()(const Cursor& a, const Cursor& b) const {
     if (a.timestamp != b.timestamp) return a.timestamp > b.timestamp;
@@ -90,19 +96,24 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
 
   std::vector<ClosedSegment> closed;
   std::vector<InFlight> in_flight;
-  // Staged copies of every closed segment (close order) plus the class the
-  // predictor eventually answered, delivered to options.closed_sink after
-  // the gather phase — sinks never slow the ingest loop.
-  std::vector<ClosedSegment> staged;
-  std::vector<int> staged_pred;
+  // A closed segment waiting for its delivery to options.closed_sink, with
+  // the class the predictor answered (-1 until then, and for good when it
+  // is not evaluated). Every drain resolves and delivers all of them, so
+  // `staged` holds at most one barrier interval.
+  struct Staged {
+    ClosedSegment segment;
+    int predicted = -1;
+  };
+  std::vector<Staged> staged;
+  // report.segments_closed at the last drain (kMaxPendingSegments).
+  size_t closed_at_drain = 0;
   const auto submit_closed = [&] {
     for (ClosedSegment& segment : closed) {
       ++report.segments_closed;
       ptrdiff_t staged_index = -1;
       if (options.closed_sink) {
         staged_index = static_cast<ptrdiff_t>(staged.size());
-        staged.push_back(segment);  // Copy: features are moved out below.
-        staged_pred.push_back(-1);
+        staged.push_back({segment});  // Copy: features are moved out below.
       }
       const int true_class = labels.ClassOf(segment.mode);
       if (true_class < 0) {
@@ -135,10 +146,12 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
   // Drains every in-flight request, gathering in rounds: transient
   // failures with remaining budget are resubmitted (one backoff delay per
   // round, shared by that round's retries). Budgets strictly decrease, so
-  // each drain terminates after at most retry_budget rounds. Runs once at
-  // end of stream — and, with a continuous trainer installed, at every
-  // trainer step barrier, so the trainer only ever mutates the registry
-  // while nothing is in flight (the determinism contract).
+  // each drain terminates after at most retry_budget rounds. Then every
+  // staged segment is resolved, and the drain delivers them to the sink in
+  // close order. Runs at every trainer step and telemetry tick barrier (so
+  // the registry and the sampled metrics only ever change while nothing is
+  // in flight: the determinism contract), every kMaxPendingSegments
+  // closes, and at end of stream.
   Backoff backoff(options.retry, kRetrySeed);
   const auto drain = [&]() -> Status {
     std::vector<InFlight> round = std::move(in_flight);
@@ -163,7 +176,9 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
           report.y_true.push_back(item.true_class);
           report.y_pred.push_back(prediction.label);
           if (prediction.label == item.true_class) ++report.correct;
-          if (item.staged >= 0) staged_pred[item.staged] = prediction.label;
+          if (item.staged >= 0) {
+            staged[item.staged].predicted = prediction.label;
+          }
           if (options.trainer != nullptr) {
             options.trainer->OnResult(item.true_class, prediction);
           }
@@ -210,6 +225,11 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
       if (!next.empty()) SleepForSeconds(backoff.NextDelaySeconds());
       round = std::move(next);
     }
+    for (const Staged& entry : staged) {
+      options.closed_sink(entry.segment, entry.predicted);
+    }
+    staged.clear();
+    closed_at_drain = report.segments_closed;
     return Status::Ok();
   };
 
@@ -249,6 +269,9 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
       options.tick();
       next_tick += options.tick_every_segments;
     }
+    if (report.segments_closed - closed_at_drain >= kMaxPendingSegments) {
+      TRAJKIT_RETURN_IF_ERROR(drain());
+    }
     if (cursor.point + 1 < trajectory.points.size()) {
       ReplaceTop(merge, Cursor{trajectory.points[cursor.point + 1].timestamp,
                                cursor.trajectory, cursor.point + 1});
@@ -269,11 +292,6 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
   // Final telemetry tick: the closing window covers the stream's tail
   // (and any trainer Finish() mutations) regardless of cadence phase.
   if (options.tick) options.tick();
-  if (options.closed_sink) {
-    for (size_t i = 0; i < staged.size(); ++i) {
-      options.closed_sink(staged[i], staged_pred[i]);
-    }
-  }
   report.session_stats = plane.session_stats();
   return report;
 }

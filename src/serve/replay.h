@@ -29,12 +29,16 @@ struct ReplayOptions {
   /// by `retry` (jittered exponential backoff from a fixed seed).
   int retry_budget = 0;
   RetryOptions retry;
-  /// Observer invoked once per closed segment after the replay's gather
-  /// phase resolves (close order, off the ingest hot path —
-  /// `ingest_seconds` never includes it). `predicted_class` is the label
-  /// set class the predictor answered, or -1 when the segment was not
-  /// evaluated (outside the label set, shed, or deadline-exceeded).
-  /// `serve-replay --store_out` persists a trajectory store through this.
+  /// Observer invoked once per closed segment, in close order, at the
+  /// first replay barrier after the segment's answer resolves: a trainer
+  /// step, a telemetry tick, every 1024 closes since the last barrier, and
+  /// end of stream. Every barrier drains all in-flight requests, so it
+  /// delivers every segment closed before it; `ingest_seconds` includes
+  /// the deliveries of all but the end-of-stream barrier.
+  /// `predicted_class` is the label set class the predictor answered, or
+  /// -1 when the segment was not evaluated (outside the label set, shed,
+  /// or deadline-exceeded). `serve-replay --store_out` persists a
+  /// trajectory store through this.
   std::function<void(const ClosedSegment& segment, int predicted_class)>
       closed_sink;
   /// Telemetry tick barrier: every `tick_every_segments` closed segments
@@ -86,7 +90,9 @@ struct ReplayReport {
   /// True class / predicted class per evaluated segment, in close order.
   std::vector<int> y_true;
   std::vector<int> y_pred;
-  /// Wall time spent in the ingest loop (excludes waiting on futures).
+  /// Wall time spent in the ingest loop, from the first fix to the
+  /// end-of-stream flush: the barrier drains inside it and their sink
+  /// deliveries included, the end-of-stream drain excluded.
   double ingest_seconds = 0.0;
   /// Final session-layer counters, summed across the plane's shards.
   SessionManagerStats session_stats;

@@ -113,6 +113,7 @@ SessionManagerStats ServingPlane::session_stats() const {
   for (const auto& shard : shards_) {
     const SessionManagerStats& stats = shard->sessions.stats();
     total.points_ingested += stats.points_ingested;
+    total.points_dropped_invalid += stats.points_dropped_invalid;
     total.points_dropped_out_of_order += stats.points_dropped_out_of_order;
     total.segments_emitted += stats.segments_emitted;
     total.segments_discarded_short += stats.segments_discarded_short;

@@ -66,7 +66,7 @@ class ServingStack {
   /// spec, the injector and a label prior of per-class point counts over
   /// `corpus`; with --continuous_training, the trainer; the plane; with
   /// `keep_store`, a TrajectoryStore fed every closed segment under its
-  /// predicted mode (else its annotated one); when telemetry is enabled or
+  /// predicted mode (else its annotated one) at each replay barrier; when telemetry is enabled or
   /// --timeseries_json is set, a ServingTelemetry ticked every
   /// config.tick_every closed segments; with http_port >= 0, a started
   /// HTTP server. `corpus` must outlive the stack. Configure tracing

@@ -1,6 +1,7 @@
 #include "serve/session_manager.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -34,6 +35,8 @@ SessionManager::SessionManager(SessionOptions options)
     : options_(options),
       metric_points_(obs::MetricsRegistry::Global().GetCounter(
           "serve.sessions.points_ingested")),
+      metric_invalid_(obs::MetricsRegistry::Global().GetCounter(
+          "serve.sessions.points_dropped_invalid")),
       metric_out_of_order_(obs::MetricsRegistry::Global().GetCounter(
           "serve.sessions.points_dropped_out_of_order")),
       metric_emitted_(obs::MetricsRegistry::Global().GetCounter(
@@ -131,6 +134,13 @@ void SessionManager::Ingest(int64_t session_id,
   ++stats_.points_ingested;
   metric_points_.Increment();
   if (shard_points_ != nullptr) shard_points_->Increment();
+  // A NaN or infinite fix would poison the session's MBR (a store log its
+  // own Load rejects) and the day index cast; it never opens a session.
+  if (!std::isfinite(point.timestamp) || !geo::IsValid(point.pos)) {
+    ++stats_.points_dropped_invalid;
+    metric_invalid_.Increment();
+    return;
+  }
   auto [it, inserted] = sessions_.try_emplace(session_id);
   Session& session = it->second;
   if (inserted) SetActiveGauges();

@@ -93,6 +93,9 @@ struct ClosedSegment {
 /// Counters of one SessionManager's lifetime.
 struct SessionManagerStats {
   size_t points_ingested = 0;
+  /// Fixes with a non-finite timestamp or a position that fails
+  /// geo::IsValid (the GeoLife reader's filter).
+  size_t points_dropped_invalid = 0;
   size_t points_dropped_out_of_order = 0;
   size_t segments_emitted = 0;
   size_t segments_discarded_short = 0;
@@ -113,9 +116,11 @@ class SessionManager {
   explicit SessionManager(SessionOptions options = {});
 
   /// Ingests one fix for `session_id`. At most one boundary-closed segment
-  /// plus one cap-evicted segment are appended to `closed`. Out-of-order
-  /// fixes (timestamp before the session's last kept fix) are dropped,
-  /// mirroring the offline cleaner.
+  /// plus one cap-evicted segment are appended to `closed`. Invalid fixes
+  /// (non-finite timestamp, or a position outside the valid lat/lon range)
+  /// are dropped before they reach any session, as the offline reader
+  /// drops them; out-of-order fixes (timestamp before the session's last
+  /// kept fix) are dropped, mirroring the offline cleaner.
   void Ingest(int64_t session_id, const traj::TrajectoryPoint& point,
               std::vector<ClosedSegment>* closed);
 
@@ -202,6 +207,7 @@ class SessionManager {
   /// counter per CloseReason), resolved once at construction. stats_ stays
   /// per-instance; the metrics aggregate across all managers.
   obs::Counter& metric_points_;
+  obs::Counter& metric_invalid_;
   obs::Counter& metric_out_of_order_;
   obs::Counter& metric_emitted_;
   obs::Counter& metric_discarded_short_;

@@ -15,6 +15,7 @@ import unittest
 CHECKER = None
 
 PREDICTIONS = "segment,predicted,true\n0,2,2\n1,4,4\n2,0,1\n"
+SEGMENTS = b"TKSEGLG1" + bytes(range(256)) * 2
 SUMMARY = ("lifecycle: 40 submitted = 40 evaluated + 0 shed\n"
            "training: 5 steps, 1 promotions; serving ct-v2\n")
 AGGREGATES = {
@@ -50,15 +51,17 @@ class CheckDeterminismTest(unittest.TestCase):
                                         ("t1_s2", 2, 33), ("t8_s8", 8, 40)):
             self.write(config, "predictions.csv", PREDICTIONS)
             self.write(config, "summary.txt", SUMMARY)
+            self.write(config, "segments.log", SEGMENTS)
             self.write(config, "metrics.json",
                        json.dumps(metrics(shards, batches)))
 
     def tearDown(self):
         self._tmp.cleanup()
 
-    def write(self, config, artifact, text):
-        with open(os.path.join(self.leg, f"{config}.{artifact}"), "w") as f:
-            f.write(text)
+    def write(self, config, artifact, content):
+        mode = "wb" if isinstance(content, bytes) else "w"
+        with open(os.path.join(self.leg, f"{config}.{artifact}"), mode) as f:
+            f.write(content)
 
     def edit_counters(self, config, edit):
         path = os.path.join(self.leg, f"{config}.metrics.json")
@@ -85,6 +88,12 @@ class CheckDeterminismTest(unittest.TestCase):
     def test_one_byte_predictions_diff_fails(self):
         self.write("t1_s2", "predictions.csv", PREDICTIONS.replace("0,1", "0,2"))
         self.assert_fails("t1_s2.predictions.csv diverges")
+
+    def test_one_byte_segment_log_diff_fails(self):
+        broken = bytearray(SEGMENTS)
+        broken[300] ^= 0x01
+        self.write("t8_s1", "segments.log", bytes(broken))
+        self.assert_fails("t8_s1.segments.log diverges at byte 300")
 
     def test_missing_trailing_newline_fails(self):
         self.write("t8_s8", "summary.txt", SUMMARY[:-1])
@@ -128,7 +137,8 @@ class CheckDeterminismTest(unittest.TestCase):
         self.assert_fails("no serve.shard<i>.* counters")
 
     def test_leg_without_reference_fails(self):
-        for artifact in ("predictions.csv", "summary.txt", "metrics.json"):
+        for artifact in ("predictions.csv", "summary.txt", "segments.log",
+                         "metrics.json"):
             os.remove(os.path.join(self.leg, f"t1_s1.{artifact}"))
         result = self.run_checker()
         self.assertNotEqual(result.returncode, 0)

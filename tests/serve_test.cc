@@ -11,7 +11,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <future>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -34,6 +36,7 @@
 #include "serve/session_manager.h"
 #include "serve/statusz.h"
 #include "stats/descriptive.h"
+#include "store/trajectory_store.h"
 #include "synthgeo/generator.h"
 #include "traj/point_features.h"
 #include "traj/segmentation.h"
@@ -529,6 +532,74 @@ TEST(SessionManagerTest, OutOfOrderFixesDroppedAcrossSegmentBoundary) {
   sessions.FlushAll(&rest);
   EXPECT_TRUE(rest.empty());
   EXPECT_EQ(sessions.stats().segments_discarded_short, 1u);
+}
+
+// A fix with a NaN or infinite coordinate or timestamp, or a latitude
+// past the pole, never reaches a session: it is dropped as the GeoLife
+// reader drops it. The segment around the hostile fixes is the clean one
+// bit for bit, and its MBR stays finite, so the store log of it loads.
+TEST(SessionManagerTest, InvalidFixesDroppedBeforeTheyReachASession) {
+  Rng rng(29);
+  const std::vector<traj::TrajectoryPoint> clean =
+      RandomSegmentPoints(rng, 40);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  enum Field { kLat, kLon, kTime };
+  struct Break {
+    Field field;
+    double value;
+  };
+  const std::vector<Break> breaks = {
+      {kLat, nan},  {kLat, inf},  {kLat, -inf}, {kLat, 91.0},
+      {kLon, nan},  {kLon, inf},  {kLon, -inf}, {kLon, -180.5},
+      {kTime, nan}, {kTime, inf}, {kTime, -inf}};
+  // Break k goes in front of clean fix 3k, the first one included, as a
+  // copy of that fix with one field broken.
+  std::vector<traj::TrajectoryPoint> stream;
+  for (size_t i = 0; i < clean.size(); ++i) {
+    if (i % 3 == 0 && i / 3 < breaks.size()) {
+      const Break& bad = breaks[i / 3];
+      traj::TrajectoryPoint point = clean[i];
+      if (bad.field == kLat) point.pos.lat_deg = bad.value;
+      if (bad.field == kLon) point.pos.lon_deg = bad.value;
+      if (bad.field == kTime) point.timestamp = bad.value;
+      stream.push_back(point);
+    }
+    stream.push_back(clean[i]);
+  }
+  ASSERT_EQ(stream.size(), clean.size() + breaks.size());
+
+  SessionManager sessions(ParityOptions());
+  std::vector<ClosedSegment> closed;
+  for (const auto& point : stream) sessions.Ingest(3, point, &closed);
+  sessions.FlushAll(&closed);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].num_points, clean.size());
+  ExpectBitIdentical(closed[0].features, BatchFeatures(clean));
+  EXPECT_EQ(sessions.stats().points_ingested, stream.size());
+  EXPECT_EQ(sessions.stats().points_dropped_invalid, breaks.size());
+  EXPECT_EQ(sessions.stats().points_dropped_out_of_order, 0u);
+  geo::BoundingBox bbox;
+  for (const auto& point : clean) bbox.Extend(point.pos);
+  EXPECT_EQ(closed[0].bbox.min_lat, bbox.min_lat);
+  EXPECT_EQ(closed[0].bbox.max_lat, bbox.max_lat);
+  EXPECT_EQ(closed[0].bbox.min_lon, bbox.min_lon);
+  EXPECT_EQ(closed[0].bbox.max_lon, bbox.max_lon);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "trajkit_serve_hostile.log")
+          .string();
+  store::TrajectoryStore store;
+  store.Ingest(store::FromClosedSegment(closed[0], closed[0].mode));
+  ASSERT_TRUE(store.SaveTo(path).ok());
+  store::TrajectoryStore loaded;
+  const Status status = loaded.Load(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded.Segment(0).bbox.min_lat, bbox.min_lat);
+  EXPECT_EQ(loaded.Segment(0).start_time, clean.front().timestamp);
+  EXPECT_EQ(loaded.Segment(0).end_time, clean.back().timestamp);
 }
 
 TEST(SessionManagerTest, MaxWindowClosesOpenSegment) {
@@ -1068,6 +1139,123 @@ TEST(ReplayTest, ClosedSinkSeesEverySegmentWithItsResolvedPrediction) {
     if (cls >= 0) evaluated.push_back(cls);
   }
   EXPECT_EQ(evaluated, report->y_pred);
+}
+
+// Where and when a close happened, to match sink deliveries to closes.
+struct CloseKey {
+  int64_t session_id;
+  double start_time;
+  double end_time;
+  traj::Mode mode;
+
+  static CloseKey Of(const ClosedSegment& segment) {
+    return {segment.session_id, segment.start_time, segment.end_time,
+            segment.mode};
+  }
+  bool operator==(const CloseKey& other) const {
+    return session_id == other.session_id &&
+           start_time == other.start_time && end_time == other.end_time &&
+           mode == other.mode;
+  }
+};
+
+// Every barrier delivers what it resolved: at each telemetry tick the sink
+// has already received every segment closed so far, in close order, each
+// with the class the predictor answered (-1 outside the label set).
+TEST(ReplayTest, SinkDeliversAtEachBarrierInCloseOrder) {
+  const ReplayFixture& fixture = ReplayFixture::Get();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(fixture.model).ok());
+  // 32-fix windows, as the windowed workload serves, give many closes.
+  ServingPlaneOptions plane_options;
+  plane_options.shards = 2;
+  plane_options.session.max_segment_points = 32;
+  ServingPlane plane(&registry, plane_options);
+  std::vector<CloseKey> closes;
+  plane.set_closed_sink([&](const ClosedSegment& segment) {
+    closes.push_back(CloseKey::Of(segment));
+  });
+  std::vector<CloseKey> delivered;
+  std::vector<int> delivered_class;
+  std::vector<size_t> delivered_at_tick;
+  ReplayOptions options;
+  options.closed_sink = [&](const ClosedSegment& segment,
+                            int predicted_class) {
+    delivered.push_back(CloseKey::Of(segment));
+    delivered_class.push_back(predicted_class);
+  };
+  constexpr size_t kTickEvery = 16;
+  options.tick_every_segments = kTickEvery;
+  options.tick = [&] {
+    EXPECT_EQ(delivered.size(), plane.session_stats().segments_emitted)
+        << "tick " << delivered_at_tick.size();
+    delivered_at_tick.push_back(delivered.size());
+  };
+  const auto report =
+      ReplayCorpus(fixture.corpus, fixture.labels, plane, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  // Every tick but the final one fires once its cadence is reached, and
+  // each sees at least the segments of its own interval delivered.
+  ASSERT_GE(delivered_at_tick.size(), 10u);
+  for (size_t t = 0; t + 1 < delivered_at_tick.size(); ++t) {
+    EXPECT_GE(delivered_at_tick[t], (t + 1) * kTickEvery) << "tick " << t;
+  }
+  EXPECT_EQ(delivered_at_tick.back(), report->segments_closed);
+
+  ASSERT_EQ(delivered.size(), report->segments_closed);
+  EXPECT_TRUE(delivered == closes);
+  std::vector<int> evaluated;
+  for (size_t i = 0; i < delivered.size(); ++i) {
+    const bool in_label_set = fixture.labels.ClassOf(delivered[i].mode) >= 0;
+    EXPECT_EQ(delivered_class[i] >= 0, in_label_set) << "segment " << i;
+    if (delivered_class[i] >= 0) evaluated.push_back(delivered_class[i]);
+  }
+  EXPECT_EQ(evaluated, report->y_pred);
+}
+
+// With no tick and no trainer there is no barrier before end of stream,
+// but the replay still drains and delivers once 1024 segments
+// (kMaxPendingSegments in replay.cc) have closed since the last drain, so
+// no segment waits for the end and at most 1024 wait at once.
+TEST(ReplayTest, PendingBoundDeliversWithoutBarriers) {
+  constexpr size_t kMaxPending = 1024;
+  const ReplayFixture& fixture = ReplayFixture::Get();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(fixture.model).ok());
+  ServingPlaneOptions plane_options;
+  plane_options.session.min_points = 2;
+  plane_options.session.max_segment_points = 4;
+  ServingPlane plane(&registry, plane_options);
+  size_t total_points = 0;
+  for (const traj::Trajectory& trajectory : fixture.corpus) {
+    total_points += trajectory.points.size();
+  }
+  size_t deliveries = 0;
+  size_t first_delivery_points = 0;
+  size_t first_delivery_closed = 0;
+  size_t max_waiting = 0;
+  ReplayOptions options;
+  options.closed_sink = [&](const ClosedSegment&, int) {
+    const SessionManagerStats stats = plane.session_stats();
+    if (deliveries == 0) {
+      first_delivery_points = stats.points_ingested;
+      first_delivery_closed = stats.segments_emitted;
+    }
+    max_waiting = std::max(max_waiting, stats.segments_emitted - deliveries);
+    ++deliveries;
+  };
+  const auto report =
+      ReplayCorpus(fixture.corpus, fixture.labels, plane, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  ASSERT_GT(report->segments_closed, 2 * kMaxPending);
+  EXPECT_EQ(deliveries, report->segments_closed);
+  // One fix closes at most one 4-point window here, so the first forced
+  // drain comes exactly at close 1024, with most of the corpus unread.
+  EXPECT_EQ(first_delivery_closed, kMaxPending);
+  EXPECT_LT(first_delivery_points, total_points / 2);
+  EXPECT_EQ(max_waiting, kMaxPending);
 }
 
 TEST(ReplayTest, PeriodicIdleEvictionStillEvaluatesEverySegment) {

@@ -10,6 +10,8 @@ configs, named <config>.<artifact> with <config> like t8_s2:
     <config>.predictions.csv   --predictions_out
     <config>.summary.txt       the lifecycle/training/telemetry/slo lines
     <config>.timeseries.json   --timeseries_json (telemetry leg only)
+    <config>.segments.log      --store_out: the binary TKSEGLG1 log of
+                               every closed segment and its answer
     <config>.metrics.json      --metrics_json
 
 The t1_s1 run is the reference; every other run is checked against it:
@@ -38,7 +40,10 @@ import sys
 
 REFERENCE = "t1_s1"
 CONFIG_RE = re.compile(r"^(t\d+_s\d+)\.(.+)$")
-BYTE_ARTIFACTS = ("predictions.csv", "summary.txt", "timeseries.json")
+BYTE_ARTIFACTS = ("predictions.csv", "summary.txt", "timeseries.json",
+                  "segments.log")
+# Byte artifacts whose first differing line would print as noise.
+BINARY_ARTIFACTS = ("segments.log",)
 METRICS = "metrics.json"
 
 # Counters whose values must not depend on the thread or shard count.
@@ -102,12 +107,17 @@ def byte_failures(leg, reference, other):
         got = f.read()
     if want == got:
         return []
+    offset = next((i for i, (a, b) in enumerate(zip(want, got)) if a != b),
+                  min(len(want), len(got)))
+    head = f"{leg} determinism: {other} diverges at byte {offset}"
+    if other.endswith(BINARY_ARTIFACTS):
+        return [head]
     diff = difflib.unified_diff(
         want.decode(errors="replace").splitlines(),
         got.decode(errors="replace").splitlines(),
         reference, other, lineterm="", n=0)
     lines = list(diff)[:8] or ["(same lines; the bytes differ)"]
-    return [f"{leg} determinism: {other} diverges"] + [
+    return [head] + [
         f"    {line}" for line in lines]
 
 

@@ -7,9 +7,10 @@
 #   2. determinism matrix: one model, three serve-replay legs (plain,
 #      --continuous_training, telemetry ticks + SLO) x five configs
 #      (t1_s1 t8_s1 t1_s2 t1_s8 t8_s8); tools/check_determinism.py
-#      byte-compares each run's predictions, summary lines and time-series
-#      dump with its leg's t1_s1 run and checks deterministic counters and
-#      shard mirrors; ct must promote >= 1 model and telemetry must tick
+#      byte-compares each run's predictions, summary lines, time-series
+#      dump and --store_out segment log with its leg's t1_s1 run and checks
+#      deterministic counters and shard mirrors; ct must promote >= 1 model
+#      and telemetry must tick
 #   3. scrape smoke: a lingering serve-replay's /metrics byte-matches
 #      --metrics_prom and passes tools/check_prom.py, then exits via
 #      /quitquitquit
@@ -81,10 +82,12 @@ python3 bench/e2e/run.py --smoke
 # replay-step barriers, so what gets served is a pure function of the
 # corpus. Every leg runs every config against one shared model, and
 # tools/check_determinism.py checks each run against its leg's t1_s1 run:
-# predictions, the lifecycle/training/telemetry/slo summary lines and the
-# time-series dumps byte for byte, deterministic counters by allowlist,
-# shard mirrors summing to the aggregates. A leg that exercised nothing
-# proves nothing: ct must auto-promote and telemetry must tick.
+# predictions, the lifecycle/training/telemetry/slo summary lines, the
+# time-series dumps and the --store_out segment logs (every closed segment
+# with the answer its sink was handed) byte for byte, deterministic
+# counters by allowlist, shard mirrors summing to the aggregates. A leg
+# that exercised nothing proves nothing: ct must auto-promote and
+# telemetry must tick.
 echo "==> determinism matrix: {plain, ct, telemetry} x {t1_s1, t8_s1, t1_s2, t1_s8, t8_s8}"
 MODEL_OUT="$BUILD_DIR/ci-model"
 mkdir -p "$MODEL_OUT"
@@ -111,6 +114,7 @@ for leg in plain ct telemetry; do
     esac
     "${REPLAY[@]}" --threads="${threads#t}" --shards="${config#*_s}" \
       "${LEG_FLAGS[@]}" --predictions_out="$LEG_OUT/$config.predictions.csv" \
+      --store_out="$LEG_OUT/$config.segments.log" \
       --metrics_json="$LEG_OUT/$config.metrics.json" > "$LEG_OUT/$config.log"
     grep -E '^(lifecycle|training|telemetry|slo):' "$LEG_OUT/$config.log" \
       > "$LEG_OUT/$config.summary.txt"

@@ -90,6 +90,9 @@
 //       frozen post-run snapshot until GET /quitquitquit.
 //       --store_out=FILE persists every closed segment (with its resolved
 //       prediction) as a trajectory-store segment log for `trajkit query`.
+//       The store ingests each segment at the first replay barrier after
+//       its answer resolves (a tick, a trainer step, or at most 1024
+//       closes later) and the log is written when the replay ends.
 //       --continuous_training closes the loop (serve/continuous_training.h):
 //       labeled closed segments feed background refits, candidates score
 //       in the registry's shadow slot on the live batches (never served),
