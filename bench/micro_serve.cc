@@ -38,7 +38,9 @@
 // Phase G measures the ingest cost of the live telemetry plane: the same
 // ingest loop with the serving stack's ServingTelemetry (time series + SLO
 // engine) ticking every 16 closed segments (4x the serve-replay default
-// rate), predictions submitted only after the timed loop in both arms.
+// rate), each tick after the plane publishes its counters as a replay
+// barrier does, predictions submitted only after the timed loop in both
+// arms.
 // Recorded as timeseries_tick_t1_s (best of 31); --require_tick_overhead=R
 // fails the run when the median ticked/plain ratio of the 31 paired
 // repetitions exceeds 1+R (CI passes 0.05 — a tick is a handful of relaxed
@@ -337,6 +339,7 @@ int Main(int argc, char** argv) {
             submit(closed);
           }
           while (telemetry != nullptr && segments_closed >= next_tick) {
+            plane.PublishMetrics();
             telemetry->Tick();
             next_tick += 16;
           }

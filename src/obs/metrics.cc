@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 namespace trajkit::obs {
@@ -430,33 +429,6 @@ std::string MetricsRegistry::ToPrometheusText(std::string_view prefix) const {
     out += metric + "{value=\"" + escaped + "\"} 1\n";
   }
   return out;
-}
-
-CounterSet::CounterSet(MetricsRegistry& registry, std::string_view base,
-                       const std::vector<std::string_view>& reasons) {
-  counters_.reserve(reasons.size());
-  for (const std::string_view reason : reasons) {
-    std::string name = std::string(base) + "." + std::string(reason);
-    Counter& counter = registry.GetCounter(name);
-    counters_.emplace_back(std::string(reason), &counter);
-  }
-}
-
-Counter& CounterSet::Of(std::string_view reason) {
-  for (auto& [name, counter] : counters_) {
-    if (name == reason) return *counter;
-  }
-  // The reason set is fixed at construction; asking for another one is a
-  // programmer error (this module is below common/check.h, hence abort).
-  std::fprintf(stderr, "CounterSet: unknown reason '%.*s'\n",
-               static_cast<int>(reason.size()), reason.data());
-  std::abort();
-}
-
-uint64_t CounterSet::Total() const {
-  uint64_t total = 0;
-  for (const auto& [name, counter] : counters_) total += counter->value();
-  return total;
 }
 
 bool WriteTextFile(const std::string& path, std::string_view content) {

@@ -177,28 +177,6 @@ class MetricsRegistry {
   std::map<std::string, std::string, std::less<>> info_;
 };
 
-/// A family of counters sharing one base name, keyed by a small fixed set
-/// of reasons: "<base>.<reason>". Handles are resolved once at
-/// construction (same cost model as a plain Counter — the registry mutex
-/// is never touched afterwards), and Total() folds the family for "did
-/// anything happen" checks. Used for per-reason outcome counting such as
-/// serve.shed_total.{queue_full,preempted}.
-class CounterSet {
- public:
-  CounterSet(MetricsRegistry& registry, std::string_view base,
-             const std::vector<std::string_view>& reasons);
-
-  /// The counter of `reason`. Precondition: `reason` was in the
-  /// constructor list (unknown reasons abort — the set is fixed).
-  Counter& Of(std::string_view reason);
-
-  /// Sum over all reasons at this instant (relaxed loads).
-  uint64_t Total() const;
-
- private:
-  std::vector<std::pair<std::string, Counter*>> counters_;
-};
-
 /// Writes `content` to `path`, returning false (with a stderr note) on
 /// failure — mirrors bench::TimingJson's contract without a Status dep.
 bool WriteTextFile(const std::string& path, std::string_view content);

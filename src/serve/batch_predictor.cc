@@ -28,8 +28,6 @@ BatchPredictor::BatchPredictor(const ModelRegistry* registry,
                                BatchPredictorOptions options)
     : registry_(registry),
       options_(std::move(options)),
-      metric_requests_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.batch_predictor.requests")),
       metric_batches_(obs::MetricsRegistry::Global().GetCounter(
           "serve.batch_predictor.batches")),
       metric_queue_depth_(obs::MetricsRegistry::Global().GetGauge(
@@ -39,28 +37,11 @@ BatchPredictor::BatchPredictor(const ModelRegistry* registry,
           obs::HistogramOptions::Exponential(1.0, 2.0, 11))),
       metric_latency_(obs::MetricsRegistry::Global().GetHistogram(
           "serve.batch_predictor.latency_seconds",
-          obs::HistogramOptions::LatencySeconds())),
-      metric_shed_(obs::MetricsRegistry::Global(), "serve.shed_total",
-                   {"queue_full", "preempted"}),
-      metric_degraded_(obs::MetricsRegistry::Global(), "serve.degraded_total",
-                       {"previous_model", "majority_class"}),
-      metric_deadline_exceeded_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.deadline_exceeded_total")),
-      metric_unavailable_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.unavailable_total")) {
+          obs::HistogramOptions::LatencySeconds())) {
   if (options_.max_batch_size == 0) options_.max_batch_size = 1;
   if (options_.shard >= 0) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    const std::string prefix = StrPrintf("serve.shard%d.", options_.shard);
-    shard_requests_ =
-        &registry.GetCounter(prefix + "batch_predictor.requests");
-    shard_shed_ = &registry.GetCounter(prefix + "shed_total");
-    shard_deadline_exceeded_ =
-        &registry.GetCounter(prefix + "deadline_exceeded_total");
-    shard_degraded_ = &registry.GetCounter(prefix + "degraded_total");
-    shard_unavailable_ = &registry.GetCounter(prefix + "unavailable_total");
-    shard_queue_depth_ =
-        &registry.GetGauge(prefix + "batch_predictor.queue_depth");
+    shard_queue_depth_ = &obs::MetricsRegistry::Global().GetGauge(StrPrintf(
+        "serve.shard%d.batch_predictor.queue_depth", options_.shard));
   }
   worker_ = std::thread([this] { WorkerLoop(); });
 }
@@ -98,7 +79,7 @@ std::future<Result<Prediction>> BatchPredictor::Submit(
   }
 
   // Fast-fail a request that arrives already expired: it would only be
-  // swept later without ever being batchable. Counters are published
+  // swept later without ever being batchable. Counters are updated
   // before the promise resolves, so a caller woken by the future always
   // sees them accounted.
   if (request.context.has_deadline() &&
@@ -106,10 +87,6 @@ std::future<Result<Prediction>> BatchPredictor::Submit(
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++counters_.deadline_exceeded;
-    }
-    metric_deadline_exceeded_.Increment();
-    if (shard_deadline_exceeded_ != nullptr) {
-      shard_deadline_exceeded_->Increment();
     }
     request.promise.set_value(
         Status::DeadlineExceeded("request deadline passed before enqueue"));
@@ -144,11 +121,13 @@ std::future<Result<Prediction>> BatchPredictor::Submit(
             request.context.priority, pending_.size())));
         pending_.erase(victim);
         shed_victim = true;
+        ++counters_.shed_preempted;
       } else {
         request.promise.set_value(Status::ResourceExhausted(StrPrintf(
             "shed: queue full at %zu and no lower-priority victim",
             pending_.size())));
         shed_incoming = true;
+        ++counters_.shed_queue_full;
       }
       ++counters_.shed;
     }
@@ -164,28 +143,20 @@ std::future<Result<Prediction>> BatchPredictor::Submit(
     }
   }
   if (shed_incoming) {
-    metric_shed_.Of("queue_full").Increment();
-    if (shard_shed_ != nullptr) shard_shed_->Increment();
     if (traced) {
       TraceTerminal(tracer, trace_id, "shed", tracer.NowNs(),
                     /*tail_keep=*/true);
     }
     return future;
   }
-  if (shed_victim) {
-    metric_shed_.Of("preempted").Increment();
-    if (shard_shed_ != nullptr) shard_shed_->Increment();
-    if (traced) {
-      TraceTerminal(tracer, victim_trace_id, "shed", tracer.NowNs(),
-                    /*tail_keep=*/true);
-    }
+  if (shed_victim && traced) {
+    TraceTerminal(tracer, victim_trace_id, "shed", tracer.NowNs(),
+                  /*tail_keep=*/true);
   }
   // A busy worker finds this request when it next looks at the queue.
   if (wake_worker) cv_.notify_one();
-  // Metrics after the notify so the worker's wakeup is not delayed.
+  // The gauge after the notify so the worker's wakeup is not delayed.
   SetQueueDepthGauge(static_cast<double>(depth));
-  metric_requests_.Increment();
-  if (shard_requests_ != nullptr) shard_requests_->Increment();
   return future;
 }
 
@@ -235,10 +206,6 @@ void BatchPredictor::SweepExpiredLocked(
   }
   min_deadline_ = new_min;
   if (expired > 0) {
-    metric_deadline_exceeded_.Increment(static_cast<uint64_t>(expired));
-    if (shard_deadline_exceeded_ != nullptr) {
-      shard_deadline_exceeded_->Increment(static_cast<uint64_t>(expired));
-    }
     SetQueueDepthGauge(static_cast<double>(pending_.size()));
   }
 }
@@ -314,8 +281,6 @@ bool BatchPredictor::AnswerWithLabelPrior(
     exemplar_id = trace_id;  // tail-kept, so the dump can resolve it
   }
   metric_latency_.Observe(prediction.latency_seconds, exemplar_id);
-  metric_degraded_.Of("majority_class").Increment();
-  if (shard_degraded_ != nullptr) shard_degraded_->Increment();
   request.promise.set_value(std::move(prediction));
   return true;
 }
@@ -378,7 +343,7 @@ void BatchPredictor::ProcessBatch(BatchScratch* scratch) {
     fault_hit = faults.any();
   }
 
-  // Counters are published before any promise resolves so a caller woken
+  // Counters are updated before any promise resolves so a caller woken
   // by its future always finds its request accounted.
   const auto expired = [start](const Request& request) {
     return request.context.has_deadline() && request.context.deadline <= start;
@@ -386,11 +351,6 @@ void BatchPredictor::ProcessBatch(BatchScratch* scratch) {
   const size_t num_expired =
       static_cast<size_t>(std::count_if(batch.begin(), batch.end(), expired));
   if (num_expired > 0) {
-    metric_deadline_exceeded_.Increment(static_cast<uint64_t>(num_expired));
-    if (shard_deadline_exceeded_ != nullptr) {
-      shard_deadline_exceeded_->Increment(
-          static_cast<uint64_t>(num_expired));
-    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       counters_.deadline_exceeded += num_expired;
@@ -445,14 +405,11 @@ void BatchPredictor::ProcessBatch(BatchScratch* scratch) {
         ++unavailable;
       }
     }
-    metric_unavailable_.Increment(static_cast<uint64_t>(unavailable));
-    if (shard_unavailable_ != nullptr) {
-      shard_unavailable_->Increment(static_cast<uint64_t>(unavailable));
-    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       counters_.unavailable += unavailable;
       counters_.degraded += degraded;
+      counters_.degraded_majority_class += degraded;
     }
     for (Request& request : live) {
       if (request.context.retry_budget <= 0 &&
@@ -476,6 +433,7 @@ void BatchPredictor::ProcessBatch(BatchScratch* scratch) {
     if (!options_.label_prior.empty()) {
       std::lock_guard<std::mutex> lock(mu_);
       counters_.degraded += live.size();
+      counters_.degraded_majority_class += live.size();
     }
     for (Request& request : live) {
       if (AnswerWithLabelPrior(request, start)) continue;
@@ -527,13 +485,9 @@ void BatchPredictor::ProcessBatch(BatchScratch* scratch) {
     std::lock_guard<std::mutex> lock(last_good_mu_);
     last_good_ = model;
   } else {
-    metric_degraded_.Of("previous_model")
-        .Increment(static_cast<uint64_t>(row_to_request.size()));
-    if (shard_degraded_ != nullptr) {
-      shard_degraded_->Increment(static_cast<uint64_t>(row_to_request.size()));
-    }
     std::lock_guard<std::mutex> lock(mu_);
     counters_.degraded += row_to_request.size();
+    counters_.degraded_previous_model += row_to_request.size();
   }
   const uint64_t predict_start_ns = traced ? tracer.ToNs(predict_start) : 0;
   const std::vector<int>& labels = scratch->active.labels;

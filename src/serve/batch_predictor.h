@@ -41,10 +41,9 @@ struct BatchPredictorOptions {
   /// nullptr = no fault injection.
   FaultInjector* fault_injector = nullptr;
   /// Shard index when this predictor is one shard of a ServingPlane; >= 0
-  /// additionally mirrors the lifecycle counters under "serve.shard<i>.*"
-  /// (requests, shed, deadline, degraded, unavailable, queue depth) so
-  /// statusz and the CI shard-determinism matrix can attribute load per
-  /// shard. -1 (default) = unsharded.
+  /// writes the queue depth to "serve.shard<i>.batch_predictor.queue_depth"
+  /// instead of the unsharded gauge (shards must not clobber each other's
+  /// depth). -1 (default) = unsharded.
   int shard = -1;
   /// Shadow-scoring sink (not owned; must outlive the predictor). When set
   /// and the registry lease carries a shadow model, every healthy batch is
@@ -71,8 +70,8 @@ struct BatchPredictorOptions {
 /// tests/serve_test.cc).
 ///
 /// Each model snapshot is taken once per batch from the registry, so all
-/// requests of a batch are served by one consistent
-/// (forest, subset, normalizer) triple even across a hot swap.
+/// requests of a batch are served by one consistent (forest, subset)
+/// pair even across a hot swap.
 ///
 /// Request lifecycle (DESIGN.md §9): a submitted PredictRequest either
 ///  - is shed at admission (queue full, ResourceExhausted),
@@ -105,14 +104,20 @@ class BatchPredictor {
   /// end-of-replay, before gathering futures).
   void Flush();
 
-  /// Lifetime counters.
+  /// Lifetime counters: plain integers under the queue mutex. A
+  /// ServingPlane publishes them to the metrics registry
+  /// (serving_plane.h).
   struct Counters {
     size_t requests = 0;           // Accepted into the queue.
     size_t batches = 0;
     size_t max_batch = 0;          // Largest batch dispatched.
-    size_t shed = 0;               // Rejected or preempted at admission.
+    size_t shed = 0;               // Rejected or preempted at admission:
+    size_t shed_queue_full = 0;    //   the newcomer, queue at max_queue;
+    size_t shed_preempted = 0;     //   a lower-priority queued victim.
     size_t deadline_exceeded = 0;  // Expired while queued / pre-dispatch.
-    size_t degraded = 0;           // Answered below DegradationLevel::kNone.
+    size_t degraded = 0;           // Answered below DegradationLevel::kNone:
+    size_t degraded_previous_model = 0;  // by the last-good snapshot;
+    size_t degraded_majority_class = 0;  // by the label prior.
     size_t unavailable = 0;        // Resolved retryable (budget remaining).
   };
   Counters counters() const;
@@ -163,38 +168,25 @@ class BatchPredictor {
   std::shared_ptr<const ServingModel> LastGoodModel() const;
 
   /// Stores the queue depth into the per-shard gauge when sharded, the
-  /// global one otherwise (shards must not clobber each other's depth).
+  /// global one otherwise.
   void SetQueueDepthGauge(double depth);
 
   const ModelRegistry* registry_;
   BatchPredictorOptions options_;
 
   /// Global-registry handles, resolved once in the constructor so the
-  /// enqueue/dispatch paths pay only relaxed atomic updates:
-  /// serve.batch_predictor.{requests,batches} counters, queue_depth gauge,
-  /// batch_size and latency_seconds (enqueue→completion) histograms, plus
-  /// the lifecycle outcome counters (serve.shed_total.*,
-  /// serve.deadline_exceeded_total, serve.degraded_total.*,
-  /// serve.unavailable_total).
-  obs::Counter& metric_requests_;
+  /// dispatch paths pay only relaxed atomic updates: the
+  /// serve.batch_predictor.batches counter, the queue_depth gauge, and the
+  /// batch_size and latency_seconds (enqueue→completion) histograms. The
+  /// request lifecycle outcomes are counted only in counters_.
   obs::Counter& metric_batches_;
   obs::Gauge& metric_queue_depth_;
   obs::Histogram& metric_batch_size_;
   obs::Histogram& metric_latency_;
-  obs::CounterSet metric_shed_;      // serve.shed_total.<reason>
-  obs::CounterSet metric_degraded_;  // serve.degraded_total.<level>
-  obs::Counter& metric_deadline_exceeded_;
-  obs::Counter& metric_unavailable_;
-  /// Per-shard mirrors (serve.shard<i>.*), resolved only when
-  /// BatchPredictorOptions::shard >= 0; null otherwise. The unlabelled
-  /// metrics above stay the cross-shard aggregate (they are incremented
-  /// regardless), except queue_depth: a sharded predictor writes only its
-  /// own shard gauge so shards do not clobber each other's depth.
-  obs::Counter* shard_requests_ = nullptr;
-  obs::Counter* shard_shed_ = nullptr;
-  obs::Counter* shard_deadline_exceeded_ = nullptr;
-  obs::Counter* shard_degraded_ = nullptr;
-  obs::Counter* shard_unavailable_ = nullptr;
+  /// serve.shard<i>.batch_predictor.queue_depth, resolved only when
+  /// BatchPredictorOptions::shard >= 0; null otherwise. A sharded
+  /// predictor writes only this one, so shards do not clobber each
+  /// other's depth.
   obs::Gauge* shard_queue_depth_ = nullptr;
 
   mutable std::mutex mu_;

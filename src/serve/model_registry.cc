@@ -53,26 +53,17 @@ Status ServingModel::Validate() const {
         "forest was trained on %zu features but the subset selects %zu",
         forest.FeatureImportances().size(), effective));
   }
-  if (norm_mins.size() != norm_maxs.size()) {
-    return Status::InvalidArgument("normalizer min/max widths differ");
-  }
-  if (!norm_mins.empty() && norm_mins.size() != effective) {
-    return Status::InvalidArgument(StrPrintf(
-        "normalizer width %zu != effective feature count %zu",
-        norm_mins.size(), effective));
-  }
   return Status::Ok();
 }
 
 namespace {
 
-/// Subsets + normalizes full-width rows into `prepared` (reshaped, its
-/// storage reused).
+/// Subsets full-width rows into `prepared` (reshaped, its storage
+/// reused).
 Status PrepareRows(const ServingModel& model,
                    std::span<const std::vector<double>* const> rows,
                    ml::Matrix* prepared) {
-  const size_t effective = model.EffectiveFeatureCount();
-  prepared->Resize(rows.size(), effective);
+  prepared->Resize(rows.size(), model.EffectiveFeatureCount());
   for (size_t r = 0; r < rows.size(); ++r) {
     const std::vector<double>& row = *rows[r];
     if (row.size() != static_cast<size_t>(model.num_input_features)) {
@@ -86,21 +77,6 @@ Status PrepareRows(const ServingModel& model,
     } else {
       for (size_t c = 0; c < model.feature_subset.size(); ++c) {
         out[c] = row[static_cast<size_t>(model.feature_subset[c])];
-      }
-    }
-  }
-  // Min-max normalization with the published ranges, replicating
-  // MinMaxScaler::Transform (constant columns map to 0, no clamping).
-  if (!model.norm_mins.empty()) {
-    for (size_t c = 0; c < effective; ++c) {
-      const double range = model.norm_maxs[c] - model.norm_mins[c];
-      if (range <= 0.0) {
-        for (size_t r = 0; r < rows.size(); ++r) (*prepared)(r, c) = 0.0;
-      } else {
-        const double inv = 1.0 / range;
-        for (size_t r = 0; r < rows.size(); ++r) {
-          (*prepared)(r, c) = ((*prepared)(r, c) - model.norm_mins[c]) * inv;
-        }
       }
     }
   }
@@ -160,16 +136,12 @@ Result<Prediction> ServingModel::PredictOne(
 Result<ServingModel> MakeServingModel(std::string version,
                                       ml::RandomForest forest,
                                       int num_input_features,
-                                      std::vector<int> feature_subset,
-                                      std::vector<double> norm_mins,
-                                      std::vector<double> norm_maxs) {
+                                      std::vector<int> feature_subset) {
   ServingModel model;
   model.version = std::move(version);
   model.forest = std::move(forest);
   model.num_input_features = num_input_features;
   model.feature_subset = std::move(feature_subset);
-  model.norm_mins = std::move(norm_mins);
-  model.norm_maxs = std::move(norm_maxs);
   TRAJKIT_RETURN_IF_ERROR(model.Validate());
   return model;
 }

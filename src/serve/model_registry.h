@@ -63,10 +63,10 @@ struct PredictScratch {
   ml::Matrix probabilities;
 };
 
-/// A deployable model: forest + feature-subset mask + optional min-max
-/// normalizer. The three travel together so a hot swap can never pair one
-/// model's forest with another's subset or scaling (the registry publishes
-/// them as one immutable snapshot).
+/// A deployable model: forest + feature-subset mask. The two travel
+/// together so a hot swap can never pair one model's forest with another's
+/// subset (the registry publishes them as one immutable snapshot). There
+/// is no feature scaling: a random forest is invariant to it.
 struct ServingModel {
   std::string version;
   ml::RandomForest forest;
@@ -76,11 +76,6 @@ struct ServingModel {
   /// Indices into the full vector the forest was trained on (e.g. the
   /// Fig. 3 top-20 mask); empty = all features, in order.
   std::vector<int> feature_subset;
-  /// Per-column min/max applied after subsetting, matching
-  /// `ml::MinMaxScaler::Transform` (constant columns map to 0); both empty
-  /// = no normalization (the random-forest serving default).
-  std::vector<double> norm_mins;
-  std::vector<double> norm_maxs;
 
   /// Number of columns the forest actually consumes.
   size_t EffectiveFeatureCount() const {
@@ -92,7 +87,7 @@ struct ServingModel {
   /// widths line up). Registered models are always valid.
   Status Validate() const;
 
-  /// Subsets + normalizes full-width rows into the forest's input matrix.
+  /// Subsets full-width rows into the forest's input matrix.
   /// Returns InvalidArgument when any row has the wrong width.
   Result<ml::Matrix> PrepareBatch(
       const std::vector<std::vector<double>>& rows) const;
@@ -118,9 +113,7 @@ struct ServingModel {
 Result<ServingModel> MakeServingModel(std::string version,
                                       ml::RandomForest forest,
                                       int num_input_features,
-                                      std::vector<int> feature_subset = {},
-                                      std::vector<double> norm_mins = {},
-                                      std::vector<double> norm_maxs = {});
+                                      std::vector<int> feature_subset = {});
 
 /// Reads a feature-subset mask from the Fig. 3 selection output
 /// (`exp_fig3_feature_selection` CSV: method,k,feature,cv_accuracy): the

@@ -1,7 +1,9 @@
 #include "serve/replay.h"
 
 #include <algorithm>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -11,13 +13,20 @@
 namespace trajkit::serve {
 namespace {
 
-/// A cursor into one trajectory, ordered by its current point's timestamp
+/// A cursor into one trajectory, ordered by its current point's merge key
 /// (earliest first; ties broken by trajectory index for determinism).
+/// The key is the point's timestamp when finite, else the previous key of
+/// its trajectory (-inf for a leading point): the session layer drops a
+/// non-finite fix, and NaN would break the heap's strict weak order.
 struct Cursor {
   double timestamp;
   size_t trajectory;
   size_t point;
 };
+
+double MergeKey(double timestamp, double previous_key) {
+  return std::isfinite(timestamp) ? timestamp : previous_key;
+}
 
 constexpr uint64_t kRetrySeed = 0x72657472790aULL;  // Backoff jitter.
 
@@ -62,12 +71,15 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
   // it. A user's own fixes are never reordered — out-of-order fixes inside
   // a trajectory reach the session in file order and are dropped there,
   // exactly like the offline cleaner.
-  // (timestamp, trajectory) is a total order, so any heap pops the same
+  // (merge key, trajectory) is a total order, so any heap pops the same
   // sequence.
   std::vector<Cursor> merge;
   for (size_t t = 0; t < corpus.size(); ++t) {
     if (!corpus[t].points.empty()) {
-      merge.push_back(Cursor{corpus[t].points[0].timestamp, t, 0});
+      merge.push_back(
+          Cursor{MergeKey(corpus[t].points[0].timestamp,
+                          -std::numeric_limits<double>::infinity()),
+                 t, 0});
     }
   }
   std::make_heap(merge.begin(), merge.end(), CursorLater());
@@ -147,11 +159,12 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
   // failures with remaining budget are resubmitted (one backoff delay per
   // round, shared by that round's retries). Budgets strictly decrease, so
   // each drain terminates after at most retry_budget rounds. Then every
-  // staged segment is resolved, and the drain delivers them to the sink in
-  // close order. Runs at every trainer step and telemetry tick barrier (so
-  // the registry and the sampled metrics only ever change while nothing is
-  // in flight: the determinism contract), every kMaxPendingSegments
-  // closes, and at end of stream.
+  // staged segment is resolved, the drain delivers them to the sink in
+  // close order, and the plane publishes its counters. Runs at every
+  // trainer step and telemetry tick barrier (so the registry and the
+  // sampled metrics only ever change while nothing is in flight: the
+  // determinism contract), every kMaxPendingSegments closes, and at end of
+  // stream.
   Backoff backoff(options.retry, kRetrySeed);
   const auto drain = [&]() -> Status {
     std::vector<InFlight> round = std::move(in_flight);
@@ -230,6 +243,7 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
     }
     staged.clear();
     closed_at_drain = report.segments_closed;
+    plane.PublishMetrics();
     return Status::Ok();
   };
 
@@ -246,9 +260,11 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
     const traj::TrajectoryPoint& point = trajectory.points[cursor.point];
     plane.Ingest(trajectory.user_id, point, &closed);
     ++report.points;
+    // The eviction clock is the merge key: a non-finite fix must not
+    // move it.
     if (options.evict_every_points > 0 &&
         report.points % options.evict_every_points == 0) {
-      plane.EvictIdle(point.timestamp, &closed);
+      plane.EvictIdle(cursor.timestamp, &closed);
     }
     if (!closed.empty()) submit_closed();
     // Trainer step barrier: the step count is a pure function of the
@@ -273,8 +289,10 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
       TRAJKIT_RETURN_IF_ERROR(drain());
     }
     if (cursor.point + 1 < trajectory.points.size()) {
-      ReplaceTop(merge, Cursor{trajectory.points[cursor.point + 1].timestamp,
-                               cursor.trajectory, cursor.point + 1});
+      ReplaceTop(merge,
+                 Cursor{MergeKey(trajectory.points[cursor.point + 1].timestamp,
+                                 cursor.timestamp),
+                        cursor.trajectory, cursor.point + 1});
     } else {
       const Cursor last = merge.back();
       merge.pop_back();

@@ -19,8 +19,9 @@ class ContinuousTrainer;
 /// Knobs of a corpus replay. The session-layer and batching configuration
 /// live on the ServingPlane the replay drives (ServingPlaneOptions).
 struct ReplayOptions {
-  /// Run EvictIdle (against event time, i.e. the timestamp of the point
-  /// just ingested) every this many points; 0 = never.
+  /// Run EvictIdle (against event time, i.e. the merge key of the point
+  /// just ingested: its timestamp, or its trajectory's last finite one)
+  /// every this many points; 0 = never.
   size_t evict_every_points = 0;
   /// Per-request deadline measured from submission; 0 (default) = none.
   double deadline_seconds = 0.0;
@@ -115,6 +116,9 @@ struct ReplayReport {
 /// segmenter reads — and because the plane interleaves evict/flush closes
 /// in globally ascending session-id order, the report (and every output
 /// derived from it) is byte-identical at any shard count.
+///
+/// Each drain ends with `plane.PublishMetrics()`, so the registry's
+/// serving counters equal the plane's stats at every barrier.
 ///
 /// Every submitted request is accounted for exactly once in the report:
 /// evaluated (possibly degraded), shed, or deadline-exceeded. Transient

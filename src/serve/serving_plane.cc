@@ -1,7 +1,10 @@
 #include "serve/serving_plane.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
+
+#include "common/strings.h"
 
 namespace trajkit::serve {
 
@@ -16,6 +19,50 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Resolves the registry counters of every row of `counts` for shard
+/// `shard`, appending one Published entry per row.
+template <typename Counts, typename Published>
+void ResolveCounters(const Counts& counts, size_t shard,
+                     std::vector<Published>* published) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  for (const auto& count : counts) {
+    Published entry;
+    if (count.scope != CounterScope::kShard) {
+      entry.aggregate = &registry.GetCounter(std::string("serve.") +
+                                             count.name);
+    }
+    if (count.scope != CounterScope::kAggregate) {
+      entry.shard = &registry.GetCounter(
+          StrPrintf("serve.shard%zu.%s", shard, count.name));
+    }
+    published->push_back(entry);
+  }
+}
+
+/// Adds each row's increase since the last publish to its counters;
+/// returns the entry after the last row.
+template <typename Counts, typename Published>
+Published* PublishCounts(const Counts& counts, Published* published) {
+  for (const auto& count : counts) {
+    const size_t delta = *count.value - published->last;
+    if (delta > 0) {
+      published->last = *count.value;
+      if (published->aggregate != nullptr) {
+        published->aggregate->Increment(delta);
+      }
+      if (published->shard != nullptr) published->shard->Increment(delta);
+    }
+    ++published;
+  }
+  return published;
+}
+
+/// Adds every row of `part` into the same row of `total`.
+template <typename Counts, typename PartCounts>
+void AddCounts(const Counts& total, const PartCounts& part) {
+  for (size_t i = 0; i < total.size(); ++i) *total[i].value += *part[i].value;
+}
+
 }  // namespace
 
 ServingPlane::ServingPlane(const ModelRegistry* registry,
@@ -25,11 +72,17 @@ ServingPlane::ServingPlane(const ModelRegistry* registry,
   const size_t shards = std::max<size_t>(1, options.shards);
   shards_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
-    SessionOptions session = options.session;
-    session.shard = static_cast<int>(s);
     BatchPredictorOptions batching = options.batching;
     batching.shard = static_cast<int>(s);
-    shards_.push_back(std::make_unique<Shard>(registry, session, batching));
+    auto shard = std::make_unique<Shard>(registry, options.session, batching);
+    shard->active = &obs::MetricsRegistry::Global().GetGauge(
+        StrPrintf("serve.shard%zu.sessions.active", s));
+    SessionManagerStats session_stats;
+    BatchPredictor::Counters predictor_counters;
+    ResolveCounters(SessionCounts(session_stats), s, &shard->published);
+    ResolveCounters(PredictorCounts(predictor_counters), s,
+                    &shard->published);
+    shards_.push_back(std::move(shard));
   }
 }
 
@@ -48,8 +101,8 @@ void ServingPlane::Ingest(int64_t user_id,
   SessionManager& sessions = shards_[ShardOf(user_id)]->sessions;
   const size_t open_before = sessions.num_open_sessions();
   sessions.Ingest(user_id, point, closed);
-  // The aggregate moves only when a session opens or closes, not per point.
-  if (sessions.num_open_sessions() != open_before) SetActiveGauge();
+  // The gauges move only when a session opens or closes, not per point.
+  if (sessions.num_open_sessions() != open_before) SetActiveGauges();
 }
 
 void ServingPlane::EvictIdle(double now,
@@ -68,7 +121,7 @@ void ServingPlane::EvictIdle(double now,
   for (const auto& [session_id, s] : idle) {
     shards_[s]->sessions.CloseSession(session_id, CloseReason::kIdle, closed);
   }
-  SetActiveGauge();
+  SetActiveGauges();
 }
 
 void ServingPlane::FlushAll(std::vector<ClosedSegment>* closed) {
@@ -83,7 +136,7 @@ void ServingPlane::FlushAll(std::vector<ClosedSegment>* closed) {
     shards_[s]->sessions.CloseSession(session_id, CloseReason::kFlush,
                                       closed);
   }
-  SetActiveGauge();
+  SetActiveGauges();
 }
 
 std::future<Result<Prediction>> ServingPlane::Submit(int64_t user_id,
@@ -93,6 +146,15 @@ std::future<Result<Prediction>> ServingPlane::Submit(int64_t user_id,
 
 void ServingPlane::FlushPredictors() {
   for (auto& shard : shards_) shard->predictor.Flush();
+}
+
+void ServingPlane::PublishMetrics() {
+  for (auto& shard : shards_) {
+    const BatchPredictor::Counters counters = shard->predictor.counters();
+    Published* next = PublishCounts(SessionCounts(shard->sessions.stats()),
+                                    shard->published.data());
+    PublishCounts(PredictorCounts(counters), next);
+  }
 }
 
 void ServingPlane::set_closed_sink(
@@ -111,15 +173,7 @@ size_t ServingPlane::num_open_sessions() const {
 SessionManagerStats ServingPlane::session_stats() const {
   SessionManagerStats total;
   for (const auto& shard : shards_) {
-    const SessionManagerStats& stats = shard->sessions.stats();
-    total.points_ingested += stats.points_ingested;
-    total.points_dropped_invalid += stats.points_dropped_invalid;
-    total.points_dropped_out_of_order += stats.points_dropped_out_of_order;
-    total.segments_emitted += stats.segments_emitted;
-    total.segments_discarded_short += stats.segments_discarded_short;
-    total.segments_discarded_unlabeled += stats.segments_discarded_unlabeled;
-    total.sessions_evicted_idle += stats.sessions_evicted_idle;
-    total.sessions_evicted_cap += stats.sessions_evicted_cap;
+    AddCounts(SessionCounts(total), SessionCounts(shard->sessions.stats()));
   }
   return total;
 }
@@ -128,18 +182,18 @@ BatchPredictor::Counters ServingPlane::predictor_counters() const {
   BatchPredictor::Counters total;
   for (const auto& shard : shards_) {
     const BatchPredictor::Counters counters = shard->predictor.counters();
-    total.requests += counters.requests;
+    AddCounts(PredictorCounts(total), PredictorCounts(counters));
     total.batches += counters.batches;
     total.max_batch = std::max(total.max_batch, counters.max_batch);
-    total.shed += counters.shed;
-    total.deadline_exceeded += counters.deadline_exceeded;
-    total.degraded += counters.degraded;
-    total.unavailable += counters.unavailable;
   }
   return total;
 }
 
-void ServingPlane::SetActiveGauge() {
+void ServingPlane::SetActiveGauges() {
+  for (auto& shard : shards_) {
+    shard->active->Set(
+        static_cast<double>(shard->sessions.num_open_sessions()));
+  }
   metric_active_.Set(static_cast<double>(num_open_sessions()));
 }
 

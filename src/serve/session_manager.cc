@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 #include <utility>
 
-#include "common/strings.h"
 #include "obs/request_trace.h"
 #include "traj/trajectory_features.h"
 
@@ -31,43 +29,6 @@ std::string_view CloseReasonToString(CloseReason reason) {
   return "unknown";
 }
 
-SessionManager::SessionManager(SessionOptions options)
-    : options_(options),
-      metric_points_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.points_ingested")),
-      metric_invalid_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.points_dropped_invalid")),
-      metric_out_of_order_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.points_dropped_out_of_order")),
-      metric_emitted_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.segments_emitted")),
-      metric_discarded_short_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.segments_discarded_short")),
-      metric_discarded_unlabeled_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.segments_discarded_unlabeled")),
-      metric_evicted_idle_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.evicted_idle")),
-      metric_evicted_cap_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.evicted_cap")),
-      metric_active_(obs::MetricsRegistry::Global().GetGauge(
-          "serve.sessions.active")) {
-  for (size_t r = 0; r < metric_closed_by_reason_.size(); ++r) {
-    metric_closed_by_reason_[r] = &obs::MetricsRegistry::Global().GetCounter(
-        "serve.sessions.closed." +
-        std::string(CloseReasonToString(static_cast<CloseReason>(r))));
-  }
-  if (options_.shard >= 0) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    const std::string prefix =
-        StrPrintf("serve.shard%d.sessions.", options_.shard);
-    shard_points_ = &registry.GetCounter(prefix + "points_ingested");
-    shard_emitted_ = &registry.GetCounter(prefix + "segments_emitted");
-    shard_evicted_idle_ = &registry.GetCounter(prefix + "evicted_idle");
-    shard_evicted_cap_ = &registry.GetCounter(prefix + "evicted_cap");
-    shard_active_ = &registry.GetGauge(prefix + "active");
-  }
-}
-
 void SessionManager::CloseSegment(int64_t session_id, Session* session,
                                   CloseReason reason,
                                   std::vector<ClosedSegment>* closed) {
@@ -79,11 +40,9 @@ void SessionManager::CloseSegment(int64_t session_id, Session* session,
                               std::max(options_.min_points, 0)));
   if (session->count() < min_points) {
     ++stats_.segments_discarded_short;
-    metric_discarded_short_.Increment();
   } else if (options_.drop_unlabeled &&
              session->mode == traj::Mode::kUnknown) {
     ++stats_.segments_discarded_unlabeled;
-    metric_discarded_unlabeled_.Increment();
   } else {
     scratch_.duration = session->duration;
     scratch_.distance = session->distance;
@@ -115,9 +74,7 @@ void SessionManager::CloseSegment(int64_t session_id, Session* session,
     }
     closed->push_back(std::move(segment));
     ++stats_.segments_emitted;
-    metric_emitted_.Increment();
-    if (shard_emitted_ != nullptr) shard_emitted_->Increment();
-    metric_closed_by_reason_[static_cast<size_t>(reason)]->Increment();
+    ++stats_.closed[static_cast<size_t>(reason)];
     if (closed_sink_) closed_sink_(closed->back());
   }
   // clear(), not reassignment: the columns keep their capacity for the
@@ -132,18 +89,14 @@ void SessionManager::Ingest(int64_t session_id,
                             const traj::TrajectoryPoint& point,
                             std::vector<ClosedSegment>* closed) {
   ++stats_.points_ingested;
-  metric_points_.Increment();
-  if (shard_points_ != nullptr) shard_points_->Increment();
   // A NaN or infinite fix would poison the session's MBR (a store log its
   // own Load rejects) and the day index cast; it never opens a session.
   if (!std::isfinite(point.timestamp) || !geo::IsValid(point.pos)) {
     ++stats_.points_dropped_invalid;
-    metric_invalid_.Increment();
     return;
   }
   auto [it, inserted] = sessions_.try_emplace(session_id);
   Session& session = it->second;
-  if (inserted) SetActiveGauges();
   // The recency list serves only the session cap.
   if (options_.max_sessions > 0) {
     if (inserted) {
@@ -158,7 +111,6 @@ void SessionManager::Ingest(int64_t session_id,
   // kept fix of this session is dropped (even across a segment boundary).
   if (session.has_last && point.timestamp < session.last.timestamp) {
     ++stats_.points_dropped_out_of_order;
-    metric_out_of_order_.Increment();
     return;
   }
 
@@ -260,24 +212,8 @@ void SessionManager::CloseSession(int64_t session_id, CloseReason reason,
   sessions_.erase(it);
   if (reason == CloseReason::kIdle) {
     ++stats_.sessions_evicted_idle;
-    metric_evicted_idle_.Increment();
-    if (shard_evicted_idle_ != nullptr) shard_evicted_idle_->Increment();
   } else if (reason == CloseReason::kSessionCap) {
     ++stats_.sessions_evicted_cap;
-    metric_evicted_cap_.Increment();
-    if (shard_evicted_cap_ != nullptr) shard_evicted_cap_->Increment();
-  }
-  SetActiveGauges();
-}
-
-void SessionManager::SetActiveGauges() {
-  if (shard_active_ != nullptr) {
-    // Sharded: own only the per-shard gauge. The ServingPlane keeps the
-    // aggregate serve.sessions.active gauge (a per-shard write here would
-    // clobber it with one shard's count).
-    shard_active_->Set(static_cast<double>(sessions_.size()));
-  } else {
-    metric_active_.Set(static_cast<double>(sessions_.size()));
   }
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "geo/geodesy.h"
-#include "obs/metrics.h"
 #include "traj/point_features.h"
 #include "traj/segmentation.h"
 #include "traj/types.h"
@@ -45,11 +44,6 @@ struct SessionOptions {
   /// Hard cap on concurrently open sessions; beyond it the
   /// least-recently-updated session is flushed and evicted. 0 = unbounded.
   size_t max_sessions = 0;
-  /// Shard index when this manager is one shard of a ServingPlane; >= 0
-  /// additionally mirrors the session counters under
-  /// "serve.shard<i>.sessions.*" so statusz and the CI shard-determinism
-  /// matrix can attribute load per shard. -1 (default) = unsharded.
-  int shard = -1;
   /// Options of the point-feature kernel run at ingest and close.
   traj::PointFeatureOptions point_features;
 };
@@ -64,6 +58,8 @@ enum class CloseReason {
   kSessionCap,
   kFlush,
 };
+inline constexpr size_t kNumCloseReasons =
+    static_cast<size_t>(CloseReason::kFlush) + 1;
 
 /// Stable lower-case name of a CloseReason ("mode_change", ...).
 std::string_view CloseReasonToString(CloseReason reason);
@@ -90,7 +86,9 @@ struct ClosedSegment {
   std::vector<double> features;
 };
 
-/// Counters of one SessionManager's lifetime.
+/// Counters of one SessionManager's lifetime: plain integers, written by
+/// the manager's single writer. A ServingPlane publishes them to the
+/// metrics registry (serving_plane.h).
 struct SessionManagerStats {
   size_t points_ingested = 0;
   /// Fixes with a non-finite timestamp or a position that fails
@@ -102,6 +100,8 @@ struct SessionManagerStats {
   size_t segments_discarded_unlabeled = 0;
   size_t sessions_evicted_idle = 0;
   size_t sessions_evicted_cap = 0;
+  /// Emitted segments by close reason, indexed by CloseReason.
+  std::array<size_t, kNumCloseReasons> closed{};
 };
 
 /// Per-user streaming sessions: points are ingested one at a time, open
@@ -110,10 +110,11 @@ struct SessionManagerStats {
 /// rule, and memory stays bounded via the idle-eviction policy and the
 /// LRU session cap. Single-writer: callers serialize Ingest/Evict/Flush
 /// (shard across SessionManagers to scale writers; prediction is where the
-/// shared thread pool parallelism lives).
+/// shared thread pool parallelism lives). The manager counts only into its
+/// own stats(); it writes no metric.
 class SessionManager {
  public:
-  explicit SessionManager(SessionOptions options = {});
+  explicit SessionManager(SessionOptions options = {}) : options_(options) {}
 
   /// Ingests one fix for `session_id`. At most one boundary-closed segment
   /// plus one cap-evicted segment are appended to `closed`. Invalid fixes
@@ -190,40 +191,12 @@ class SessionManager {
   void CloseSegment(int64_t session_id, Session* session, CloseReason reason,
                     std::vector<ClosedSegment>* closed);
 
-  /// Updates the active-session gauge: the per-shard one when sharded
-  /// (the ServingPlane owns the aggregate then), the global one otherwise.
-  /// Called whenever a session is created or erased, so the gauge always
-  /// equals the open-session count without a write per point.
-  void SetActiveGauges();
-
   SessionOptions options_;
   SessionManagerStats stats_;
   /// Close-time scratch: the open segment's channels. Reused across
   /// closes, so it keeps the capacity of the longest segment seen.
   traj::PointFeatures scratch_;
   std::function<void(const ClosedSegment&)> closed_sink_;
-  /// Process-wide mirrors of stats_ (serve.sessions.* counters, the
-  /// serve.sessions.active gauge, and one serve.sessions.closed.<reason>
-  /// counter per CloseReason), resolved once at construction. stats_ stays
-  /// per-instance; the metrics aggregate across all managers.
-  obs::Counter& metric_points_;
-  obs::Counter& metric_invalid_;
-  obs::Counter& metric_out_of_order_;
-  obs::Counter& metric_emitted_;
-  obs::Counter& metric_discarded_short_;
-  obs::Counter& metric_discarded_unlabeled_;
-  obs::Counter& metric_evicted_idle_;
-  obs::Counter& metric_evicted_cap_;
-  obs::Gauge& metric_active_;
-  std::array<obs::Counter*, 7> metric_closed_by_reason_;
-  /// Per-shard mirrors (serve.shard<i>.sessions.*), resolved only when
-  /// SessionOptions::shard >= 0; null otherwise. The unshard-labelled
-  /// metrics above stay the cross-shard aggregate.
-  obs::Counter* shard_points_ = nullptr;
-  obs::Counter* shard_emitted_ = nullptr;
-  obs::Counter* shard_evicted_idle_ = nullptr;
-  obs::Counter* shard_evicted_cap_ = nullptr;
-  obs::Gauge* shard_active_ = nullptr;
   /// Ordered map: deterministic iteration for eviction and flush.
   std::map<int64_t, Session> sessions_;
   /// Recency list, most recently updated first; kept only when

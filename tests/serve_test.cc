@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <future>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -693,12 +694,6 @@ TEST(ModelRegistryTest, ValidatesModels) {
   // Subset width must match what the forest was trained on.
   bad_subset.feature_subset = {0, 1, 2};
   EXPECT_FALSE(bad_subset.Validate().ok());
-  // Normalizer width mismatch.
-  auto bad_norm = fixture.model;
-  bad_norm.version = "bad-norm";
-  bad_norm.norm_mins = {0.0};
-  bad_norm.norm_maxs = {1.0};
-  EXPECT_FALSE(bad_norm.Validate().ok());
 
   ASSERT_TRUE(registry.Register(fixture.model).ok());
   // Duplicate version rejected.
@@ -710,25 +705,6 @@ TEST(ModelRegistryTest, ValidatesModels) {
   EXPECT_EQ(registry.Versions(), std::vector<std::string>{"v1"});
   EXPECT_NE(registry.Get("v1"), nullptr);
   EXPECT_EQ(registry.Get("v2"), nullptr);
-}
-
-TEST(ModelRegistryTest, NormalizationMatchesMinMaxScaler) {
-  const ReplayFixture& fixture = ReplayFixture::Get();
-  // A model whose normalizer is identity on [0, 1) plus one constant
-  // column: constant columns must map to 0 like MinMaxScaler::Transform.
-  auto model = fixture.model;
-  model.version = "normed";
-  const size_t width = static_cast<size_t>(model.num_input_features);
-  model.norm_mins.assign(width, 0.0);
-  model.norm_maxs.assign(width, 1.0);
-  model.norm_mins[3] = 5.0;  // Constant column: range 0.
-  model.norm_maxs[3] = 5.0;
-  ASSERT_TRUE(model.Validate().ok());
-  std::vector<std::vector<double>> rows(1, std::vector<double>(width, 2.0));
-  const auto prepared = model.PrepareBatch(rows);
-  ASSERT_TRUE(prepared.ok());
-  EXPECT_EQ(prepared->At(0, 0), 2.0);  // (2-0)*1/(1-0).
-  EXPECT_EQ(prepared->At(0, 3), 0.0);  // Constant column.
 }
 
 // ------------------------------------------------------ Batch predictor --
@@ -1667,6 +1643,285 @@ TEST(ReplayTest, ChaosReplayAccountsEveryRequest) {
   // the CI chaos assertion read these fields).
   EXPECT_EQ(report->degraded_previous_model + report->degraded_majority_class,
             report->degraded);
+}
+
+// Non-finite timestamps neither reorder the merge nor move the eviction
+// clock: each such fix takes its trajectory's previous merge key, and the
+// session layer drops it. Replaying two walks carrying a +inf and a NaN
+// fix, evicting after every point, closes exactly the segments of the same
+// corpus without those fixes, and evicts nothing as idle.
+TEST(ReplayTest, NonFiniteTimestampsKeepMergeOrderAndEvictionClock) {
+  const ReplayFixture& fixture = ReplayFixture::Get();
+  std::vector<traj::Trajectory> clean(2);
+  for (size_t t = 0; t < clean.size(); ++t) {
+    clean[t].user_id = static_cast<int>(t) + 1;
+    for (size_t i = 0; i < 40; ++i) {
+      const double k = static_cast<double>(i);
+      traj::TrajectoryPoint point;
+      point.pos = {39.9 + 0.0001 * k, 116.4 + 0.0002 * k * clean[t].user_id};
+      point.timestamp = 1000.0 + 5.0 * static_cast<double>(t) + 10.0 * k;
+      point.mode = traj::Mode::kWalk;
+      clean[t].points.push_back(point);
+    }
+  }
+  std::vector<traj::Trajectory> hostile = clean;
+  traj::TrajectoryPoint infinite = hostile[1].points[10];
+  infinite.timestamp = std::numeric_limits<double>::infinity();
+  hostile[1].points.insert(hostile[1].points.begin() + 11, infinite);
+  traj::TrajectoryPoint nan = hostile[0].points[19];
+  nan.timestamp = std::numeric_limits<double>::quiet_NaN();
+  hostile[0].points.insert(hostile[0].points.begin() + 20, nan);
+
+  const auto replay = [&](const std::vector<traj::Trajectory>& corpus,
+                          std::vector<ClosedSegment>* segments) {
+    ModelRegistry registry;
+    EXPECT_TRUE(registry.Publish(fixture.model).ok());
+    ServingPlane plane(&registry, {});
+    ReplayOptions options;
+    options.evict_every_points = 1;
+    options.closed_sink = [segments](const ClosedSegment& segment, int) {
+      segments->push_back(segment);
+    };
+    auto report = ReplayCorpus(corpus, fixture.labels, plane, options);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    return std::move(report).value();
+  };
+  std::vector<ClosedSegment> expected;
+  const ReplayReport clean_report = replay(clean, &expected);
+  std::vector<ClosedSegment> replayed;
+  const ReplayReport hostile_report = replay(hostile, &replayed);
+
+  EXPECT_EQ(hostile_report.session_stats.points_dropped_invalid, 2u);
+  EXPECT_EQ(hostile_report.session_stats.sessions_evicted_idle, 0u);
+  EXPECT_EQ(clean_report.session_stats.sessions_evicted_idle, 0u);
+  ASSERT_EQ(expected.size(), 2u);
+  ASSERT_EQ(replayed.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE("segment " + std::to_string(i));
+    EXPECT_EQ(replayed[i].session_id, expected[i].session_id);
+    EXPECT_EQ(replayed[i].num_points, 40u);
+    EXPECT_EQ(replayed[i].num_points, expected[i].num_points);
+    EXPECT_EQ(replayed[i].reason, expected[i].reason);
+    ExpectBitIdentical(replayed[i].features, expected[i].features);
+  }
+}
+
+// ------------------------------------------------ Counter publishing --
+
+uint64_t RegistryCounter(const std::string& name) {
+  const obs::Counter* counter =
+      obs::MetricsRegistry::Global().FindCounter(name);
+  return counter == nullptr ? 0 : counter->value();
+}
+
+std::string ShardCounterName(size_t shard, const char* name) {
+  return "serve.shard" + std::to_string(shard) + "." + name;
+}
+
+// Every registry counter a plane with `shards` shards publishes, by name:
+// the aggregates and the serve.shard<i>.* mirrors.
+std::vector<std::string> PublishedNames(size_t shards) {
+  std::vector<std::string> names;
+  const auto add = [&](const auto& counts) {
+    for (const auto& count : counts) {
+      if (count.scope != CounterScope::kShard) {
+        names.push_back(std::string("serve.") + count.name);
+      }
+      if (count.scope == CounterScope::kAggregate) continue;
+      for (size_t s = 0; s < shards; ++s) {
+        names.push_back(ShardCounterName(s, count.name));
+      }
+    }
+  };
+  SessionManagerStats session_stats;
+  BatchPredictor::Counters predictor_counters;
+  add(SessionCounts(session_stats));
+  add(PredictorCounts(predictor_counters));
+  return names;
+}
+
+std::map<std::string, uint64_t> RegistrySnapshot(
+    const std::vector<std::string>& names) {
+  std::map<std::string, uint64_t> values;
+  for (const std::string& name : names) values[name] = RegistryCounter(name);
+  return values;
+}
+
+// Each count table names every counted field of its stats struct exactly
+// once: a field missing from the table would be neither published nor
+// summed by session_stats() / predictor_counters().
+TEST(ServingPlaneTest, CountTablesNameEveryCountedStatOnce) {
+  SessionManagerStats session;
+  session.points_ingested = 1;
+  session.points_dropped_invalid = 2;
+  session.points_dropped_out_of_order = 3;
+  session.segments_emitted = 4;
+  session.segments_discarded_short = 5;
+  session.segments_discarded_unlabeled = 6;
+  session.sessions_evicted_idle = 7;
+  session.sessions_evicted_cap = 8;
+  for (size_t r = 0; r < kNumCloseReasons; ++r) session.closed[r] = 9 + r;
+  std::multiset<size_t> seen;
+  std::set<std::string> names;
+  for (const auto& count : SessionCounts(session)) {
+    seen.insert(*count.value);
+    names.insert(count.name);
+  }
+  std::multiset<size_t> want;
+  for (size_t v = 1; v < 9 + kNumCloseReasons; ++v) want.insert(v);
+  EXPECT_EQ(seen, want);
+  for (size_t r = 0; r < kNumCloseReasons; ++r) {
+    EXPECT_EQ(names.count("sessions.closed." +
+                          std::string(CloseReasonToString(
+                              static_cast<CloseReason>(r)))),
+              1u);
+  }
+
+  BatchPredictor::Counters predictor;
+  predictor.requests = 1;
+  predictor.shed = 2;
+  predictor.shed_queue_full = 3;
+  predictor.shed_preempted = 4;
+  predictor.deadline_exceeded = 5;
+  predictor.degraded = 6;
+  predictor.degraded_previous_model = 7;
+  predictor.degraded_majority_class = 8;
+  predictor.unavailable = 9;
+  seen.clear();
+  for (const auto& count : PredictorCounts(predictor)) {
+    seen.insert(*count.value);
+  }
+  EXPECT_EQ(seen, (std::multiset<size_t>{1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+// A SessionManager or BatchPredictor on its own counts only into its own
+// stats: the serving counters in the registry have one writer, the
+// plane's publish.
+TEST(ServingPlaneTest, ComponentsWriteNoCounters) {
+  const ReplayFixture& fixture = ReplayFixture::Get();
+  const std::vector<std::string> names = PublishedNames(16);
+  const std::map<std::string, uint64_t> before = RegistrySnapshot(names);
+
+  SessionOptions session_options;
+  session_options.max_sessions = 2;
+  session_options.max_segment_points = 32;
+  session_options.idle_after_seconds = 600.0;
+  SessionManager sessions(session_options);
+  std::vector<ClosedSegment> closed;
+  for (const traj::Trajectory& trajectory : fixture.corpus) {
+    for (const traj::TrajectoryPoint& point : trajectory.points) {
+      sessions.Ingest(trajectory.user_id, point, &closed);
+    }
+    sessions.EvictIdle(trajectory.points.back().timestamp + 3600.0, &closed);
+  }
+  sessions.FlushAll(&closed);
+  EXPECT_GT(sessions.stats().segments_emitted, 0u);
+
+  // No model anywhere plus a label prior: every answer is degraded.
+  ModelRegistry empty;
+  FaultSpec spec;
+  spec.predict_fail_p = 0.5;
+  spec.seed = 3;
+  FaultInjector injector(spec);
+  BatchPredictorOptions batching;
+  batching.fault_injector = &injector;
+  batching.label_prior.assign(fixture.labels.num_classes(), 1.0);
+  batching.max_queue = 4;
+  batching.shard = 0;
+  {
+    BatchPredictor predictor(&empty, batching);
+    std::vector<std::future<Result<Prediction>>> futures;
+    for (size_t r = 0; r < 64; ++r) {
+      RequestContext context = r % 8 == 0
+                                   ? RequestContext::WithTimeout(-1.0)
+                                   : RequestContext();
+      context.priority = static_cast<int>(r % 3);
+      futures.push_back(
+          predictor.Submit(PredictRequest(
+              FixtureRow(r % fixture.dataset.num_samples()), context)));
+    }
+    predictor.Flush();
+    for (auto& future : futures) future.wait();
+    const BatchPredictor::Counters counters = predictor.counters();
+    EXPECT_GT(counters.requests, 0u);
+    EXPECT_GT(counters.deadline_exceeded, 0u);
+    EXPECT_GT(counters.degraded_majority_class, 0u);
+  }
+
+  EXPECT_EQ(RegistrySnapshot(names), before);
+}
+
+// At every telemetry tick, each published counter has gained exactly the
+// plane's summed plain stat since the plane was built, and the shard
+// mirrors partition it. The chaos configuration makes the shed, degraded,
+// deadline and retry counts move too.
+void ExpectRegistryEqualsPlaneStatsAtEveryTick(size_t shards) {
+  SCOPED_TRACE("shards=" + std::to_string(shards));
+  const ReplayFixture& fixture = ReplayFixture::Get();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(fixture.model).ok());
+  FaultSpec spec;
+  spec.swap_stall_p = 0.2;
+  spec.predict_fail_p = 0.3;
+  spec.batch_delay_p = 0.2;
+  spec.batch_delay_latency_ms = 1.0;
+  spec.seed = 5;
+  FaultInjector injector(spec);
+  ServingPlaneOptions plane_options;
+  plane_options.shards = shards;
+  plane_options.session.max_segment_points = 32;
+  plane_options.batching.fault_injector = &injector;
+  plane_options.batching.max_queue = 4;
+  plane_options.batching.label_prior.assign(fixture.labels.num_classes(),
+                                            1.0);
+  ServingPlane plane(&registry, plane_options);
+  const std::map<std::string, uint64_t> before =
+      RegistrySnapshot(PublishedNames(shards));
+
+  const auto expect_published = [&](const auto& counts) {
+    for (const auto& count : counts) {
+      SCOPED_TRACE(count.name);
+      const uint64_t total = *count.value;
+      if (count.scope != CounterScope::kShard) {
+        const std::string name = std::string("serve.") + count.name;
+        EXPECT_EQ(RegistryCounter(name) - before.at(name), total);
+      }
+      if (count.scope == CounterScope::kAggregate) continue;
+      uint64_t mirrored = 0;
+      for (size_t s = 0; s < shards; ++s) {
+        const std::string name = ShardCounterName(s, count.name);
+        mirrored += RegistryCounter(name) - before.at(name);
+      }
+      EXPECT_EQ(mirrored, total);
+    }
+  };
+  size_t ticks = 0;
+  size_t moved = 0;
+  ReplayOptions options;
+  options.deadline_seconds = 0.25;
+  options.retry_budget = 1;
+  options.retry.initial_backoff_seconds = 0.0005;
+  options.retry.max_backoff_seconds = 0.001;
+  options.tick_every_segments = 16;
+  options.tick = [&] {
+    SCOPED_TRACE("tick " + std::to_string(ticks));
+    const SessionManagerStats session = plane.session_stats();
+    const BatchPredictor::Counters predictor = plane.predictor_counters();
+    expect_published(SessionCounts(session));
+    expect_published(PredictorCounts(predictor));
+    moved = predictor.shed + predictor.degraded + predictor.unavailable;
+    ++ticks;
+  };
+  const auto report =
+      ReplayCorpus(fixture.corpus, fixture.labels, plane, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GE(ticks, 10u);
+  EXPECT_GT(moved, 0u);
+}
+
+TEST(ReplayTest, RegistryCountersEqualPlaneStatsAtEveryTick) {
+  ExpectRegistryEqualsPlaneStatsAtEveryTick(1);
+  ExpectRegistryEqualsPlaneStatsAtEveryTick(4);
 }
 
 // ------------------------------------------------- Request tracing --
