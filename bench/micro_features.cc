@@ -163,9 +163,7 @@ BENCHMARK(BM_PercentilesDuplicates)->Arg(32)->Arg(584);
 // the manager's close scratch is reused across iterations.
 void BM_SessionIngest(benchmark::State& state) {
   const auto points = RandomWalkPoints(584);
-  serve::SessionOptions options;
-  options.idle_after_seconds = 0.0;
-  serve::SessionManager sessions(options);
+  serve::SessionManager sessions;
   std::vector<serve::ClosedSegment> closed;
   for (auto _ : state) {
     for (const auto& point : points) sessions.Ingest(1, point, &closed);

@@ -1,5 +1,7 @@
 #include "core/experiments.h"
 
+#include <set>
+
 #include "common/rng.h"
 
 namespace trajkit::core {
@@ -27,6 +29,22 @@ std::string_view CvSchemeToString(CvScheme scheme) {
       return "temporal";
   }
   return "unknown";
+}
+
+size_t MaxFolds(CvScheme scheme, const ml::Dataset& dataset) {
+  const size_t n = dataset.num_samples();
+  switch (scheme) {
+    case CvScheme::kUserOriented:
+      return std::set<int>(dataset.groups().begin(), dataset.groups().end())
+          .size();
+    case CvScheme::kTemporal:
+      if (dataset.has_times()) return n == 0 ? 0 : n - 1;
+      return n;
+    case CvScheme::kRandom:
+    case CvScheme::kStratified:
+      return n;
+  }
+  return 0;
 }
 
 std::vector<ml::FoldSplit> MakeFolds(CvScheme scheme,

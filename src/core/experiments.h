@@ -31,7 +31,13 @@ enum class CvScheme {
 Result<CvScheme> CvSchemeFromString(std::string_view name);
 std::string_view CvSchemeToString(CvScheme scheme);
 
-/// Builds k folds of `dataset` under the scheme.
+/// The most folds `scheme` can cut from `dataset`: one sample per test
+/// fold (one distinct user for kUserOriented), and for kTemporal on a
+/// timed dataset one more sample to train the first fold on.
+size_t MaxFolds(CvScheme scheme, const ml::Dataset& dataset);
+
+/// Builds k folds of `dataset` under the scheme. Precondition:
+/// 2 <= k <= MaxFolds(scheme, dataset).
 std::vector<ml::FoldSplit> MakeFolds(CvScheme scheme,
                                      const ml::Dataset& dataset, int k,
                                      uint64_t seed);

@@ -25,8 +25,14 @@ int64_t DaysFromCivil(int year, int month, int day) {
   return era * 146097 + static_cast<int64_t>(doe) - 719468;
 }
 
-Result<int> ParseIntField(std::string_view text) {
+// Parses one date or time field, rejecting a value outside [lo, hi]
+// before it is narrowed to int.
+Result<int> ParseIntField(std::string_view text, int lo, int hi) {
   TRAJKIT_ASSIGN_OR_RETURN(long long v, ParseInt64(text));
+  if (v < lo || v > hi) {
+    return Status::ParseError(StrPrintf(
+        "GeoLife datetime field %lld outside [%d, %d]", v, lo, hi));
+  }
   return static_cast<int>(v);
 }
 
@@ -42,18 +48,13 @@ Result<double> ParseGeoLifeDateTime(std::string_view date,
     return Status::ParseError("bad GeoLife datetime: '" + std::string(date) +
                               " " + std::string(time) + "'");
   }
-  TRAJKIT_ASSIGN_OR_RETURN(int year, ParseIntField(d[0]));
-  TRAJKIT_ASSIGN_OR_RETURN(int month, ParseIntField(d[1]));
-  TRAJKIT_ASSIGN_OR_RETURN(int day, ParseIntField(d[2]));
-  TRAJKIT_ASSIGN_OR_RETURN(int hour, ParseIntField(t[0]));
-  TRAJKIT_ASSIGN_OR_RETURN(int minute, ParseIntField(t[1]));
-  TRAJKIT_ASSIGN_OR_RETURN(int second, ParseIntField(t[2]));
-  if (month < 1 || month > 12 || day < 1 || day > 31 || hour < 0 ||
-      hour > 23 || minute < 0 || minute > 59 || second < 0 || second > 60) {
-    return Status::ParseError("out-of-range GeoLife datetime: '" +
-                              std::string(date) + " " + std::string(time) +
-                              "'");
-  }
+  // The year is bounded by what a 4-digit date holds.
+  TRAJKIT_ASSIGN_OR_RETURN(int year, ParseIntField(d[0], 0, 9999));
+  TRAJKIT_ASSIGN_OR_RETURN(int month, ParseIntField(d[1], 1, 12));
+  TRAJKIT_ASSIGN_OR_RETURN(int day, ParseIntField(d[2], 1, 31));
+  TRAJKIT_ASSIGN_OR_RETURN(int hour, ParseIntField(t[0], 0, 23));
+  TRAJKIT_ASSIGN_OR_RETURN(int minute, ParseIntField(t[1], 0, 59));
+  TRAJKIT_ASSIGN_OR_RETURN(int second, ParseIntField(t[2], 0, 60));
   return static_cast<double>(DaysFromCivil(year, month, day)) * 86400.0 +
          hour * 3600.0 + minute * 60.0 + second;
 }

@@ -49,7 +49,9 @@ Result<std::vector<traj::Trajectory>> LoadGeoLifeCorpus(
 
 /// Parses "yyyy/mm/dd hh:mm:ss" or "yyyy-mm-dd hh:mm:ss" (GeoLife uses
 /// both) into seconds since epoch, treating the wall time as UTC — a fixed
-/// offset that cancels in all derived features.
+/// offset that cancels in all derived features. A field outside its range
+/// (year 0-9999, month 1-12, day 1-31, hour 0-23, minute 0-59, second
+/// 0-60) is a ParseError.
 Result<double> ParseGeoLifeDateTime(std::string_view date,
                                     std::string_view time);
 

@@ -260,12 +260,6 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
     const traj::TrajectoryPoint& point = trajectory.points[cursor.point];
     plane.Ingest(trajectory.user_id, point, &closed);
     ++report.points;
-    // The eviction clock is the merge key: a non-finite fix must not
-    // move it.
-    if (options.evict_every_points > 0 &&
-        report.points % options.evict_every_points == 0) {
-      plane.EvictIdle(cursor.timestamp, &closed);
-    }
     if (!closed.empty()) submit_closed();
     // Trainer step barrier: the step count is a pure function of the
     // corpus (labeled segments observed), and the registry only mutates

@@ -19,10 +19,6 @@ class ContinuousTrainer;
 /// Knobs of a corpus replay. The session-layer and batching configuration
 /// live on the ServingPlane the replay drives (ServingPlaneOptions).
 struct ReplayOptions {
-  /// Run EvictIdle (against event time, i.e. the merge key of the point
-  /// just ingested: its timestamp, or its trajectory's last finite one)
-  /// every this many points; 0 = never.
-  size_t evict_every_points = 0;
   /// Per-request deadline measured from submission; 0 (default) = none.
   double deadline_seconds = 0.0;
   /// Resubmissions allowed per request on a transient (Unavailable)
@@ -113,9 +109,9 @@ struct ReplayReport {
 /// predictions are scored against the annotated modes. Per-trajectory
 /// order is preserved exactly (the merge never reorders a user's own
 /// fixes), so the session layer sees the same streams the offline
-/// segmenter reads — and because the plane interleaves evict/flush closes
-/// in globally ascending session-id order, the report (and every output
-/// derived from it) is byte-identical at any shard count.
+/// segmenter reads — and because the plane interleaves its end-of-stream
+/// flush closes in globally ascending session-id order, the report (and
+/// every output derived from it) is byte-identical at any shard count.
 ///
 /// Each drain ends with `plane.PublishMetrics()`, so the registry's
 /// serving counters equal the plane's stats at every barrier.

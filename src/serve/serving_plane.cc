@@ -105,26 +105,11 @@ void ServingPlane::Ingest(int64_t user_id,
   if (sessions.num_open_sessions() != open_before) SetActiveGauges();
 }
 
-void ServingPlane::EvictIdle(double now,
-                             std::vector<ClosedSegment>* closed) {
-  // Merge the per-shard idle sets into one globally ascending session-id
+void ServingPlane::FlushAll(std::vector<ClosedSegment>* closed) {
+  // Merge the per-shard open sets into one globally ascending session-id
   // pass — the exact close order of a single unsharded manager. Ids are
   // unique across shards (a user routes to exactly one), so a plain sort
   // of (id, shard) pairs is a stable interleaving.
-  std::vector<std::pair<int64_t, size_t>> idle;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    for (int64_t session_id : shards_[s]->sessions.IdleSessionIds(now)) {
-      idle.emplace_back(session_id, s);
-    }
-  }
-  std::sort(idle.begin(), idle.end());
-  for (const auto& [session_id, s] : idle) {
-    shards_[s]->sessions.CloseSession(session_id, CloseReason::kIdle, closed);
-  }
-  SetActiveGauges();
-}
-
-void ServingPlane::FlushAll(std::vector<ClosedSegment>* closed) {
   std::vector<std::pair<int64_t, size_t>> open;
   for (size_t s = 0; s < shards_.size(); ++s) {
     for (int64_t session_id : shards_[s]->sessions.OpenSessionIds()) {

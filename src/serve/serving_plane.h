@@ -55,14 +55,10 @@ auto SessionCounts(Stats& s) {
        &s.segments_discarded_short},
       {"sessions.segments_discarded_unlabeled", kAggregate,
        &s.segments_discarded_unlabeled},
-      {"sessions.evicted_idle", kAggregateAndShard, &s.sessions_evicted_idle},
-      {"sessions.evicted_cap", kAggregateAndShard, &s.sessions_evicted_cap},
       {"sessions.closed.mode_change", kAggregate, closed(kModeChange)},
       {"sessions.closed.day_boundary", kAggregate, closed(kDayBoundary)},
       {"sessions.closed.time_gap", kAggregate, closed(kTimeGap)},
       {"sessions.closed.max_window", kAggregate, closed(kMaxWindow)},
-      {"sessions.closed.idle", kAggregate, closed(kIdle)},
-      {"sessions.closed.session_cap", kAggregate, closed(kSessionCap)},
       {"sessions.closed.flush", kAggregate, closed(kFlush)},
   });
 }
@@ -95,8 +91,7 @@ auto PredictorCounts(Stats& c) {
 struct ServingPlaneOptions {
   /// Number of independent shards; clamped to >= 1.
   size_t shards = 1;
-  /// Per-shard session-layer configuration. `session.max_sessions` is a
-  /// PER-SHARD cap (the plane-wide ceiling is shards * max_sessions).
+  /// Per-shard session-layer configuration.
   SessionOptions session;
   /// Per-shard micro-batching / admission-control configuration.
   /// `batching.shard` is overwritten with the shard index;
@@ -120,15 +115,15 @@ struct ServingPlaneOptions {
 ///  - Routing is a pure function of user_id, so a user's stream always
 ///    lands on one shard in arrival order; per-session segmentation state
 ///    never crosses shards and close decisions are shard-count-invariant.
-///  - EvictIdle/FlushAll interleave closes across shards in globally
-///    ascending session-id order via SessionManager::CloseSession — the
+///  - FlushAll interleaves closes across shards in globally ascending
+///    session-id order via SessionManager::CloseSession — the
 ///    exact order one unsharded manager produces, which keeps trace-id
 ///    mint order, sink order, and submit order identical.
 ///  - A prediction is bit-identical whatever micro-batch (and therefore
 ///    shard queue) it lands in, per the BatchPredictor contract.
 ///
 /// Thread safety matches the components: each shard is single-writer for
-/// Ingest/EvictIdle/FlushAll (different shards may ingest from different
+/// Ingest/FlushAll (different shards may ingest from different
 /// threads concurrently — that is the point), while Submit is safe from
 /// any thread.
 ///
@@ -159,12 +154,9 @@ class ServingPlane {
   void Ingest(int64_t user_id, const traj::TrajectoryPoint& point,
               std::vector<ClosedSegment>* closed);
 
-  /// Closes idle sessions across all shards, interleaved in globally
-  /// ascending session-id order (see the determinism contract above).
-  void EvictIdle(double now, std::vector<ClosedSegment>* closed);
-
   /// Closes every open segment across all shards in globally ascending
-  /// session-id order and drops all sessions.
+  /// session-id order (see the determinism contract above) and drops all
+  /// sessions.
   void FlushAll(std::vector<ClosedSegment>* closed);
 
   /// Submits one request to `user_id`'s shard.

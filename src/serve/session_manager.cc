@@ -19,10 +19,6 @@ std::string_view CloseReasonToString(CloseReason reason) {
       return "time_gap";
     case CloseReason::kMaxWindow:
       return "max_window";
-    case CloseReason::kIdle:
-      return "idle";
-    case CloseReason::kSessionCap:
-      return "session_cap";
     case CloseReason::kFlush:
       return "flush";
   }
@@ -95,21 +91,14 @@ void SessionManager::Ingest(int64_t session_id,
     ++stats_.points_dropped_invalid;
     return;
   }
+  // A session opens with a kept fix and lives until CloseSession, so an
+  // existing session always has a last kept fix.
   auto [it, inserted] = sessions_.try_emplace(session_id);
   Session& session = it->second;
-  // The recency list serves only the session cap.
-  if (options_.max_sessions > 0) {
-    if (inserted) {
-      lru_.push_front(session_id);
-      session.lru = lru_.begin();
-    } else if (session.lru != lru_.begin()) {
-      lru_.splice(lru_.begin(), lru_, session.lru);
-    }
-  }
 
   // Same cleaning rule as the offline segmenter: a fix older than the last
   // kept fix of this session is dropped (even across a segment boundary).
-  if (session.has_last && point.timestamp < session.last.timestamp) {
+  if (!inserted && point.timestamp < session.last.timestamp) {
     ++stats_.points_dropped_out_of_order;
     return;
   }
@@ -153,26 +142,11 @@ void SessionManager::Ingest(int64_t session_id,
   session.bbox.Extend(point.pos);
   session.last = point;
   session.last_trig = trig;
-  session.has_last = true;
 
   // Max-window rule: the serving-only bound on per-segment buffers.
   if (options_.max_segment_points > 0 &&
       session.count() >= options_.max_segment_points) {
     CloseSegment(session_id, &session, CloseReason::kMaxWindow, closed);
-  }
-
-  // Session cap: evict the least-recently-updated session. The current
-  // session was just moved to the front, so the victim is always another
-  // one.
-  if (options_.max_sessions > 0 && sessions_.size() > options_.max_sessions) {
-    CloseSession(lru_.back(), CloseReason::kSessionCap, closed);
-  }
-}
-
-void SessionManager::EvictIdle(double now,
-                               std::vector<ClosedSegment>* closed) {
-  for (int64_t session_id : IdleSessionIds(now)) {
-    CloseSession(session_id, CloseReason::kIdle, closed);
   }
 }
 
@@ -191,30 +165,12 @@ std::vector<int64_t> SessionManager::OpenSessionIds() const {
   return ids;
 }
 
-std::vector<int64_t> SessionManager::IdleSessionIds(double now) const {
-  std::vector<int64_t> ids;
-  if (options_.idle_after_seconds <= 0.0) return ids;
-  for (const auto& [session_id, session] : sessions_) {
-    if (session.has_last &&
-        now - session.last.timestamp > options_.idle_after_seconds) {
-      ids.push_back(session_id);
-    }
-  }
-  return ids;
-}
-
 void SessionManager::CloseSession(int64_t session_id, CloseReason reason,
                                   std::vector<ClosedSegment>* closed) {
   auto it = sessions_.find(session_id);
   if (it == sessions_.end()) return;
   CloseSegment(session_id, &it->second, reason, closed);
-  if (options_.max_sessions > 0) lru_.erase(it->second.lru);
   sessions_.erase(it);
-  if (reason == CloseReason::kIdle) {
-    ++stats_.sessions_evicted_idle;
-  } else if (reason == CloseReason::kSessionCap) {
-    ++stats_.sessions_evicted_cap;
-  }
 }
 
 }  // namespace trajkit::serve

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <string_view>
 #include <vector>
@@ -19,8 +18,7 @@ namespace trajkit::serve {
 /// Configuration of the per-user streaming sessions. The segment-close
 /// rules mirror `traj::SegmentationOptions` field-for-field so that a
 /// replayed stream closes exactly the segments the offline pipeline cuts;
-/// the extra knobs (max-window, idle eviction, session cap) bound memory
-/// for long-running service with millions of sessions.
+/// the one extra knob, the max-window rule, bounds each open segment.
 struct SessionOptions {
   /// Segments closed with fewer points are discarded (paper §3.2).
   int min_points = 10;
@@ -38,12 +36,6 @@ struct SessionOptions {
   /// points, bounding the per-session buffers. 0 = unbounded (offline
   /// parity mode).
   size_t max_segment_points = 0;
-  /// EvictIdle() closes sessions whose last fix is older than this many
-  /// seconds; <= 0 disables idle eviction.
-  double idle_after_seconds = 1800.0;
-  /// Hard cap on concurrently open sessions; beyond it the
-  /// least-recently-updated session is flushed and evicted. 0 = unbounded.
-  size_t max_sessions = 0;
   /// Options of the point-feature kernel run at ingest and close.
   traj::PointFeatureOptions point_features;
 };
@@ -54,8 +46,6 @@ enum class CloseReason {
   kDayBoundary,
   kTimeGap,
   kMaxWindow,
-  kIdle,
-  kSessionCap,
   kFlush,
 };
 inline constexpr size_t kNumCloseReasons =
@@ -98,38 +88,30 @@ struct SessionManagerStats {
   size_t segments_emitted = 0;
   size_t segments_discarded_short = 0;
   size_t segments_discarded_unlabeled = 0;
-  size_t sessions_evicted_idle = 0;
-  size_t sessions_evicted_cap = 0;
   /// Emitted segments by close reason, indexed by CloseReason.
   std::array<size_t, kNumCloseReasons> closed{};
 };
 
-/// Per-user streaming sessions: points are ingested one at a time, open
-/// segments are closed incrementally by the offline segmentation rules
-/// (mode change / day boundary / time gap) plus the serving-only max-window
-/// rule, and memory stays bounded via the idle-eviction policy and the
-/// LRU session cap. Single-writer: callers serialize Ingest/Evict/Flush
-/// (shard across SessionManagers to scale writers; prediction is where the
-/// shared thread pool parallelism lives). The manager counts only into its
-/// own stats(); it writes no metric.
+/// Per-user streaming sessions: points are ingested one at a time, and
+/// open segments are closed incrementally by the offline segmentation
+/// rules (mode change / day boundary / time gap) plus the serving-only
+/// max-window rule. A session ends only at FlushAll (or CloseSession).
+/// Single-writer: callers serialize Ingest/Flush (shard across
+/// SessionManagers to scale writers; prediction is where the shared
+/// thread pool parallelism lives). The manager counts only into its own
+/// stats(); it writes no metric.
 class SessionManager {
  public:
   explicit SessionManager(SessionOptions options = {}) : options_(options) {}
 
-  /// Ingests one fix for `session_id`. At most one boundary-closed segment
-  /// plus one cap-evicted segment are appended to `closed`. Invalid fixes
-  /// (non-finite timestamp, or a position outside the valid lat/lon range)
-  /// are dropped before they reach any session, as the offline reader
-  /// drops them; out-of-order fixes (timestamp before the session's last
-  /// kept fix) are dropped, mirroring the offline cleaner.
+  /// Ingests one fix for `session_id`. At most one closed segment (a
+  /// boundary or the max-window rule) is appended to `closed`. Invalid
+  /// fixes (non-finite timestamp, or a position outside the valid lat/lon
+  /// range) are dropped before they reach any session, as the offline
+  /// reader drops them; out-of-order fixes (timestamp before the session's
+  /// last kept fix) are dropped, mirroring the offline cleaner.
   void Ingest(int64_t session_id, const traj::TrajectoryPoint& point,
               std::vector<ClosedSegment>* closed);
-
-  /// Closes and evicts every session idle longer than
-  /// `idle_after_seconds` relative to `now`, appending the flushed
-  /// segments (ascending session id — deterministic). No-op when idle
-  /// eviction is disabled.
-  void EvictIdle(double now, std::vector<ClosedSegment>* closed);
 
   /// Closes every open segment (ascending session id) and drops all
   /// sessions — end-of-stream / shutdown.
@@ -138,13 +120,8 @@ class SessionManager {
   /// Ascending ids of all open sessions.
   std::vector<int64_t> OpenSessionIds() const;
 
-  /// Ascending ids of sessions idle longer than `idle_after_seconds` at
-  /// `now`. Empty when idle eviction is disabled.
-  std::vector<int64_t> IdleSessionIds(double now) const;
-
-  /// Closes `session_id`'s open segment as `reason` and erases the session
-  /// (with eviction bookkeeping for kIdle / kSessionCap). No-op for
-  /// unknown ids. EvictIdle/FlushAll are built on this; a ServingPlane
+  /// Closes `session_id`'s open segment as `reason` and erases the session.
+  /// No-op for unknown ids. FlushAll is built on this; a ServingPlane
   /// calls it directly to interleave closes across shards in globally
   /// ascending session-id order — the exact one-manager close order, which
   /// is what keeps replay output byte-identical at any shard count.
@@ -170,14 +147,12 @@ class SessionManager {
     std::vector<double> duration;
     std::vector<double> distance;
     std::vector<double> bearing;
-    traj::TrajectoryPoint last;  // Last kept fix, valid when has_last.
+    traj::TrajectoryPoint last;  // Last kept fix.
     geo::LatTrig last_trig;      // Its latitude trig, for the next leg.
     geo::BoundingBox bbox;  // MBR of the open segment's kept fixes.
     int64_t day = 0;
     traj::Mode mode = traj::Mode::kUnknown;
     double start_time = 0.0;
-    bool has_last = false;  // Any fix kept since the session was created.
-    std::list<int64_t>::iterator lru;  // Valid when max_sessions > 0.
 
     /// Points in the open segment (0 = none open).
     size_t count() const { return duration.size(); }
@@ -197,11 +172,8 @@ class SessionManager {
   /// closes, so it keeps the capacity of the longest segment seen.
   traj::PointFeatures scratch_;
   std::function<void(const ClosedSegment&)> closed_sink_;
-  /// Ordered map: deterministic iteration for eviction and flush.
+  /// Ordered map: deterministic iteration for flush.
   std::map<int64_t, Session> sessions_;
-  /// Recency list, most recently updated first; kept only when
-  /// max_sessions > 0.
-  std::list<int64_t> lru_;
 };
 
 }  // namespace trajkit::serve

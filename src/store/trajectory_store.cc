@@ -385,7 +385,8 @@ std::vector<uint32_t> TrajectoryStore::QueryUser(int32_t user_id,
 
 std::vector<HotspotCell> TrajectoryStore::TopKHotspotsScan(
     double cell_deg, size_t k, ModeMask mask) const {
-  TRAJKIT_CHECK(cell_deg > 0.0) << "cell_deg must be positive";
+  TRAJKIT_CHECK(std::isfinite(cell_deg) && cell_deg >= kMinHotspotCellDeg)
+      << "cell_deg must be finite and >= kMinHotspotCellDeg";
   // Deterministic aggregation: cells keyed (lat, lon) in a sorted map, so
   // the final ordering is independent of insertion order.
   std::map<std::pair<int64_t, int64_t>, uint64_t> counts;
@@ -459,7 +460,8 @@ std::vector<uint32_t> TrajectoryStore::QueryUserBruteForce(
 
 std::vector<HotspotCell> TrajectoryStore::TopKHotspotsBruteForce(
     double cell_deg, size_t k, ModeMask mask) const {
-  TRAJKIT_CHECK(cell_deg > 0.0) << "cell_deg must be positive";
+  TRAJKIT_CHECK(std::isfinite(cell_deg) && cell_deg >= kMinHotspotCellDeg)
+      << "cell_deg must be finite and >= kMinHotspotCellDeg";
   std::lock_guard<std::mutex> lock(mu_);
   // Independent of the indexed path: recompute centers from the raw MBRs.
   std::map<std::pair<int64_t, int64_t>, uint64_t> counts;

@@ -84,6 +84,10 @@ struct StoredSegment {
 StoredSegment FromClosedSegment(const serve::ClosedSegment& segment,
                                 traj::Mode predicted_mode);
 
+/// Smallest cell size TopKHotspots accepts, in degrees. A coordinate
+/// divided by it stays far inside int64_t, so every cell index is exact.
+inline constexpr double kMinHotspotCellDeg = 1e-9;
+
 /// One aggregation cell of TopKHotspots: grid coordinates (floor of the
 /// MBR-center latitude/longitude divided by the cell size), the number of
 /// matching segments whose center falls inside, and the cell's bounds.
@@ -161,7 +165,7 @@ class TrajectoryStore {
   /// Top-k cells of a uniform `cell_deg`-degree grid by the number of
   /// matching segments whose MBR center falls inside; count descending,
   /// ties broken by (cell_lat, cell_lon) ascending. Precondition:
-  /// cell_deg > 0.
+  /// cell_deg is finite and at least kMinHotspotCellDeg.
   std::vector<HotspotCell> TopKHotspots(double cell_deg, size_t k,
                                         ModeMask mask = kAllModesMask) const;
 

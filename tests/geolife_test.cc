@@ -51,6 +51,21 @@ TEST(GeoLifeDateTimeTest, RejectsGarbage) {
   EXPECT_FALSE(ParseGeoLifeDateTime("2008/10/23", "25:00:00").ok());
 }
 
+// A field that does not fit an int, or a year beyond four digits, is
+// rejected before any narrowing: 2^31 used to overflow the civil-date
+// arithmetic, and 2^32 + 2008 wrapped to 2008.
+TEST(GeoLifeDateTimeTest, RejectsOutOfRangeFields) {
+  EXPECT_FALSE(ParseGeoLifeDateTime("2147483648/01/01", "00:00:00").ok());
+  EXPECT_FALSE(ParseGeoLifeDateTime("4294969304/01/01", "00:00:00").ok());
+  EXPECT_FALSE(ParseGeoLifeDateTime("10000/01/01", "00:00:00").ok());
+  EXPECT_FALSE(ParseGeoLifeDateTime("-1/01/01", "00:00:00").ok());
+  EXPECT_FALSE(ParseGeoLifeDateTime("2008/4294967297/01", "00:00:00").ok());
+  EXPECT_FALSE(ParseGeoLifeDateTime("2008/01/01", "4294967296:00:00").ok());
+  const auto last = ParseGeoLifeDateTime("9999/12/31", "23:59:59");
+  ASSERT_TRUE(last.ok());
+  EXPECT_DOUBLE_EQ(last.value(), 253402300799.0);
+}
+
 TEST(PltParserTest, ParsesSampleWithPreamble) {
   const auto points = ParsePltText(kPltSample);
   ASSERT_TRUE(points.ok());
@@ -68,6 +83,25 @@ TEST(PltParserTest, SkipsInvalidRows) {
   const auto points = ParsePltText(text);
   ASSERT_TRUE(points.ok());
   EXPECT_EQ(points->size(), 3u);
+}
+
+TEST(PltParserTest, SkipsRowsWithOutOfRangeDates) {
+  std::string text(kPltSample);
+  text += "39.98,116.31,0,492,39744.13,2147483648-10-23,02:54:00\n";
+  text += "39.98,116.31,0,492,39744.13,4294969304-10-23,02:54:00\n";
+  const auto points = ParsePltText(text);
+  ASSERT_TRUE(points.ok());
+  ASSERT_EQ(points->size(), 3u);
+  EXPECT_EQ((*points)[2].timestamp, 1224720000.0 + 10395.0);
+}
+
+TEST(LabelsParserTest, SkipsRowsWithOutOfRangeDates) {
+  std::string text(kLabelsSample);
+  text += "2147483648/10/23 02:53:00\t2008/10/23 02:53:12\twalk\n";
+  text += "2008/10/23 02:53:00\t4294969304/10/23 02:53:12\twalk\n";
+  const auto intervals = ParseLabelsText(text);
+  ASSERT_TRUE(intervals.ok());
+  EXPECT_EQ(intervals->size(), 2u);
 }
 
 TEST(PltParserTest, SortsOutOfOrderFixes) {

@@ -1,8 +1,8 @@
 // Tests for the sharded serving plane (src/serve/serving_plane.h): routing
-// stability, byte-identical replay output across shard counts, per-shard
-// LRU caps, the globally ascending cross-shard close order, per-shard
-// metric mirroring, and the two races CI reruns under TSan — parallel
-// ingest across shards and model hot swaps under sharded predict.
+// stability, byte-identical replay output across shard counts, the
+// globally ascending cross-shard close order, per-shard metric mirroring,
+// and the two races CI reruns under TSan — parallel ingest across shards
+// and model hot swaps under sharded predict.
 
 #include <gtest/gtest.h>
 
@@ -159,18 +159,13 @@ TEST(ShardReplayTest, ReplayIsByteIdenticalAcrossShardCounts) {
     EXPECT_TRUE(registry.Publish(fixture.model).ok());
     ServingPlaneOptions options;
     options.shards = shards;
-    // Exercise the cross-shard evict merge too, not just FlushAll.
-    options.session.idle_after_seconds = 6.0 * 3600.0;
     ServingPlane plane(&registry, options);
     Run result;
     plane.set_closed_sink([&result](const ClosedSegment& segment) {
       result.closes.emplace_back(segment.session_id, segment.start_time,
                                  segment.reason);
     });
-    ReplayOptions replay_options;
-    replay_options.evict_every_points = 500;
-    auto report =
-        ReplayCorpus(fixture.corpus, fixture.labels, plane, replay_options);
+    auto report = ReplayCorpus(fixture.corpus, fixture.labels, plane);
     EXPECT_TRUE(report.ok());
     result.report = std::move(report).value();
     return result;
@@ -195,8 +190,6 @@ TEST(ShardReplayTest, ReplayIsByteIdenticalAcrossShardCounts) {
               one.report.session_stats.segments_emitted);
     EXPECT_EQ(sharded.report.session_stats.segments_discarded_short,
               one.report.session_stats.segments_discarded_short);
-    EXPECT_EQ(sharded.report.session_stats.sessions_evicted_idle,
-              one.report.session_stats.sessions_evicted_idle);
     // The sink saw the exact same segments in the exact same order.
     EXPECT_EQ(sharded.closes, one.closes) << shards;
   }
@@ -228,59 +221,6 @@ TEST(ShardCloseOrderTest, FlushAllClosesInGloballyAscendingSessionIdOrder) {
     EXPECT_LT(closed[i - 1].session_id, closed[i].session_id) << i;
   }
   EXPECT_EQ(plane.num_open_sessions(), 0u);
-}
-
-TEST(ShardCloseOrderTest, EvictIdleMergesAscendingAcrossShards) {
-  ModelRegistry registry;
-  ServingPlaneOptions options;
-  options.shards = 4;
-  options.session.min_points = 2;
-  options.session.idle_after_seconds = 60.0;
-  ServingPlane plane(&registry, options);
-
-  std::vector<ClosedSegment> closed;
-  for (int64_t user = 0; user < 12; ++user) {
-    for (const auto& point : WalkPoints(user, 5)) {
-      plane.Ingest(user, point, &closed);
-    }
-  }
-  ASSERT_TRUE(closed.empty());
-
-  plane.EvictIdle(1.2e9 + 1e6, &closed);  // Everything is long idle.
-  ASSERT_EQ(closed.size(), 12u);
-  for (size_t i = 0; i < closed.size(); ++i) {
-    EXPECT_EQ(closed[i].session_id, static_cast<int64_t>(i));
-    EXPECT_EQ(closed[i].reason, CloseReason::kIdle);
-  }
-  EXPECT_EQ(plane.session_stats().sessions_evicted_idle, 12u);
-}
-
-// --------------------------------------------------------- Per-shard caps --
-
-TEST(ShardSessionTest, LruSessionCapIsEnforcedPerShard) {
-  ModelRegistry registry;
-  ServingPlaneOptions options;
-  options.shards = 4;
-  options.session.min_points = 2;
-  options.session.max_sessions = 2;  // Per shard: plane-wide ceiling 8.
-  ServingPlane plane(&registry, options);
-
-  std::vector<ClosedSegment> closed;
-  for (int64_t user = 0; user < 64; ++user) {
-    for (const auto& point : WalkPoints(user, 4)) {
-      plane.Ingest(user, point, &closed);
-    }
-    for (size_t s = 0; s < plane.num_shards(); ++s) {
-      ASSERT_LE(plane.sessions(s).num_open_sessions(), 2u) << "user " << user;
-    }
-  }
-  EXPECT_LE(plane.num_open_sessions(), 8u);
-  EXPECT_GT(plane.session_stats().sessions_evicted_cap, 0u);
-  // Cap evictions flushed full segments on the way out.
-  EXPECT_GT(closed.size(), 0u);
-  for (const ClosedSegment& segment : closed) {
-    EXPECT_EQ(segment.reason, CloseReason::kSessionCap);
-  }
 }
 
 // -------------------------------------------------------- Metric mirrors --
@@ -347,14 +287,11 @@ TEST(ShardMetricsTest, PerShardCountersSumToAggregateDeltas) {
 
 // The active-session gauges are written only when a session opens or
 // closes, never per point; they must still equal the open-session counts
-// after every single call — fresh users, per-shard cap evictions, idle
-// eviction and the final flush included.
+// after every single call — fresh users and the final flush included.
 TEST(ShardMetricsTest, ActiveSessionGaugesTrackOpenSessionsAfterEveryCall) {
   ModelRegistry registry;
   ServingPlaneOptions options;
   options.shards = 4;
-  options.session.max_sessions = 2;  // Per shard: forces cap evictions.
-  options.session.idle_after_seconds = 600.0;
   ServingPlane plane(&registry, options);
   const auto gauge = [](const std::string& name) {
     const obs::Gauge* found = obs::MetricsRegistry::Global().FindGauge(name);
@@ -378,20 +315,15 @@ TEST(ShardMetricsTest, ActiveSessionGaugesTrackOpenSessionsAfterEveryCall) {
   std::vector<ClosedSegment> closed;
   for (int64_t user = 0; user < 24; ++user) {
     reached[plane.ShardOf(user)] = true;
-    // Users start staggered, so late ones find early ones idle.
     for (const auto& point :
          WalkPoints(user, 6, 1.2e9 + 300.0 * static_cast<double>(user))) {
       plane.Ingest(user, point, &closed);
       expect_gauges_match("user " + std::to_string(user));
     }
   }
-  EXPECT_GT(plane.session_stats().sessions_evicted_cap, 0u);
   EXPECT_EQ(std::count(reached.begin(), reached.end(), true),
             static_cast<ptrdiff_t>(plane.num_shards()));
-  plane.EvictIdle(1.2e9 + 300.0 * 24.0, &closed);
-  EXPECT_GT(plane.session_stats().sessions_evicted_idle, 0u);
-  EXPECT_GT(plane.num_open_sessions(), 0u);
-  expect_gauges_match("after EvictIdle");
+  EXPECT_EQ(plane.num_open_sessions(), 24u);
   plane.FlushAll(&closed);
   EXPECT_EQ(plane.num_open_sessions(), 0u);
   expect_gauges_match("after FlushAll");

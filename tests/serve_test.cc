@@ -18,6 +18,8 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/csv.h"
@@ -139,7 +141,6 @@ SessionOptions ParityOptions(traj::PointFeatureOptions point_features = {}) {
   options.split_on_day = false;
   options.split_on_mode = false;
   options.drop_unlabeled = false;
-  options.idle_after_seconds = 0.0;
   options.point_features = point_features;
   return options;
 }
@@ -455,7 +456,6 @@ void ExpectSessionMatchesOffline(const traj::Trajectory& trajectory,
 
   SessionOptions session_options;
   session_options.max_gap_seconds = max_gap_seconds;
-  session_options.idle_after_seconds = 0.0;  // Parity mode: no eviction.
   SessionManager sessions(session_options);
   std::vector<ClosedSegment> closed;
   for (const auto& point : trajectory.points) {
@@ -620,57 +620,6 @@ TEST(SessionManagerTest, MaxWindowClosesOpenSegment) {
   ASSERT_EQ(closed.size(), 3u);
   EXPECT_EQ(closed[2].reason, CloseReason::kFlush);
   EXPECT_EQ(closed[2].num_points, 5u);
-}
-
-TEST(SessionManagerTest, IdleSessionsEvicted) {
-  SessionOptions options;
-  options.min_points = 2;
-  options.idle_after_seconds = 600.0;
-  SessionManager sessions(options);
-  std::vector<ClosedSegment> closed;
-  Rng rng(17);
-  const auto a = RandomSegmentPoints(rng, 15);
-  for (const auto& point : a) sessions.Ingest(1, point, &closed);
-  const double now = a.back().timestamp;
-  traj::TrajectoryPoint fresh = a.back();
-  fresh.timestamp = now;
-  sessions.Ingest(2, fresh, &closed);
-  EXPECT_EQ(sessions.num_open_sessions(), 2u);
-
-  sessions.EvictIdle(now + 300.0, &closed);  // Nobody idle yet.
-  EXPECT_EQ(sessions.num_open_sessions(), 2u);
-  ASSERT_TRUE(closed.empty());
-
-  sessions.EvictIdle(now + 601.0, &closed);  // Both sessions idle now.
-  EXPECT_EQ(sessions.num_open_sessions(), 0u);
-  EXPECT_EQ(sessions.stats().sessions_evicted_idle, 2u);
-  // Session 1 had enough points to emit; session 2 (one point) discarded.
-  ASSERT_EQ(closed.size(), 1u);
-  EXPECT_EQ(closed[0].session_id, 1);
-  EXPECT_EQ(closed[0].reason, CloseReason::kIdle);
-  EXPECT_EQ(sessions.stats().segments_discarded_short, 1u);
-}
-
-TEST(SessionManagerTest, SessionCapEvictsLeastRecentlyUpdated) {
-  SessionOptions options;
-  options.min_points = 2;
-  options.max_sessions = 2;
-  SessionManager sessions(options);
-  std::vector<ClosedSegment> closed;
-  Rng rng(23);
-  const auto points = RandomSegmentPoints(rng, 6);
-  for (const auto& point : points) sessions.Ingest(1, point, &closed);
-  for (const auto& point : points) sessions.Ingest(2, point, &closed);
-  EXPECT_EQ(sessions.num_open_sessions(), 2u);
-  // Touch 1 so 2 becomes the LRU victim.
-  sessions.Ingest(1, points.back(), &closed);
-  ASSERT_TRUE(closed.empty());
-  sessions.Ingest(3, points.front(), &closed);
-  EXPECT_EQ(sessions.num_open_sessions(), 2u);
-  EXPECT_EQ(sessions.stats().sessions_evicted_cap, 1u);
-  ASSERT_EQ(closed.size(), 1u);
-  EXPECT_EQ(closed[0].session_id, 2);
-  EXPECT_EQ(closed[0].reason, CloseReason::kSessionCap);
 }
 
 // ----------------------------------------------------------- Registry --
@@ -1234,24 +1183,6 @@ TEST(ReplayTest, PendingBoundDeliversWithoutBarriers) {
   EXPECT_EQ(max_waiting, kMaxPending);
 }
 
-TEST(ReplayTest, PeriodicIdleEvictionStillEvaluatesEverySegment) {
-  const ReplayFixture& fixture = ReplayFixture::Get();
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Publish(fixture.model).ok());
-  ServingPlaneOptions plane_options;
-  plane_options.session.idle_after_seconds = 6.0 * 3600.0;
-  ServingPlane plane(&registry, plane_options);
-  ReplayOptions options;
-  options.evict_every_points = 1000;
-  const auto report = ReplayCorpus(fixture.corpus, fixture.labels,
-                                   plane, options);
-  ASSERT_TRUE(report.ok());
-  // Eviction at a 6h horizon only closes sessions at boundaries the
-  // splitter would cut anyway (day change), so nothing is lost.
-  EXPECT_EQ(report->segments_evaluated, fixture.dataset.num_samples());
-  EXPECT_EQ(report->correct, fixture.offline_correct);
-}
-
 // The k-way merge feeds the sessions the fixes in (timestamp, trajectory
 // index) order: the same closes as one SessionManager fed a stable sort of
 // all fixes by that key. The corpus has timestamps shared across users, a
@@ -1645,12 +1576,11 @@ TEST(ReplayTest, ChaosReplayAccountsEveryRequest) {
             report->degraded);
 }
 
-// Non-finite timestamps neither reorder the merge nor move the eviction
-// clock: each such fix takes its trajectory's previous merge key, and the
-// session layer drops it. Replaying two walks carrying a +inf and a NaN
-// fix, evicting after every point, closes exactly the segments of the same
-// corpus without those fixes, and evicts nothing as idle.
-TEST(ReplayTest, NonFiniteTimestampsKeepMergeOrderAndEvictionClock) {
+// Non-finite timestamps do not reorder the merge: each such fix takes its
+// trajectory's previous merge key, and the session layer drops it.
+// Replaying two walks carrying a +inf and a NaN fix closes exactly the
+// segments of the same corpus without those fixes.
+TEST(ReplayTest, NonFiniteTimestampsKeepMergeOrder) {
   const ReplayFixture& fixture = ReplayFixture::Get();
   std::vector<traj::Trajectory> clean(2);
   for (size_t t = 0; t < clean.size(); ++t) {
@@ -1678,7 +1608,6 @@ TEST(ReplayTest, NonFiniteTimestampsKeepMergeOrderAndEvictionClock) {
     EXPECT_TRUE(registry.Publish(fixture.model).ok());
     ServingPlane plane(&registry, {});
     ReplayOptions options;
-    options.evict_every_points = 1;
     options.closed_sink = [segments](const ClosedSegment& segment, int) {
       segments->push_back(segment);
     };
@@ -1692,8 +1621,7 @@ TEST(ReplayTest, NonFiniteTimestampsKeepMergeOrderAndEvictionClock) {
   const ReplayReport hostile_report = replay(hostile, &replayed);
 
   EXPECT_EQ(hostile_report.session_stats.points_dropped_invalid, 2u);
-  EXPECT_EQ(hostile_report.session_stats.sessions_evicted_idle, 0u);
-  EXPECT_EQ(clean_report.session_stats.sessions_evicted_idle, 0u);
+  EXPECT_EQ(clean_report.session_stats.points_dropped_invalid, 0u);
   ASSERT_EQ(expected.size(), 2u);
   ASSERT_EQ(replayed.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -1704,6 +1632,165 @@ TEST(ReplayTest, NonFiniteTimestampsKeepMergeOrderAndEvictionClock) {
     EXPECT_EQ(replayed[i].reason, expected[i].reason);
     ExpectBitIdentical(replayed[i].features, expected[i].features);
   }
+}
+
+// Adversarial GPS streams through the whole replay path, interleaved in
+// one corpus: runs of duplicate timestamps, teleport jumps between fixes
+// about 500 km apart, one-point trajectories and a 1,000,000-fix
+// single-mode, single-day session. At 1 and 4 shards every closed segment
+// is accounted for, every delivered 70-vector is finite, the predictions
+// and the sink's close order agree, and the duplicate and teleport streams
+// close into exactly the offline segmenter's segments, memcmp-equal.
+TEST(ReplayTest, AdversarialStreamsAccountForEverySegment) {
+  const ReplayFixture& fixture = ReplayFixture::Get();
+  constexpr int64_t kDuplicateUser = 1;
+  constexpr int64_t kTeleportUser = 2;
+  constexpr int64_t kMillionUser = 9;
+  constexpr size_t kMillion = 1000000;
+  const double day_start = 14000.0 * 86400.0;
+  const auto fix = [](double lat, double lon, double t, traj::Mode mode) {
+    traj::TrajectoryPoint point;
+    point.pos = {lat, lon};
+    point.timestamp = t;
+    point.mode = mode;
+    return point;
+  };
+
+  // Runs of about four fixes sharing a timestamp, two in three of them
+  // moving, in mode blocks that include an unlabeled one, one outside the
+  // label set and one too short to keep.
+  traj::Trajectory duplicates;
+  duplicates.user_id = kDuplicateUser;
+  {
+    Rng rng(29);
+    double t = day_start + 3600.0;
+    double lat = 39.9, lon = 116.3;
+    const std::pair<traj::Mode, size_t> blocks[] = {
+        {traj::Mode::kWalk, 60},    {traj::Mode::kBus, 45},
+        {traj::Mode::kUnknown, 30}, {traj::Mode::kBike, 6},
+        {traj::Mode::kAirplane, 25}, {traj::Mode::kWalk, 40}};
+    for (const auto& [mode, n] : blocks) {
+      for (size_t i = 0; i < n; ++i) {
+        duplicates.points.push_back(fix(lat, lon, t, mode));
+        if (rng.NextBounded(3) != 0) {
+          lat += rng.Gaussian(0.0, 1e-4);
+          lon += rng.Gaussian(0.0, 1e-4);
+        }
+        if (rng.NextBounded(4) == 0) t += rng.Uniform(1.0, 30.0);
+      }
+    }
+  }
+  // Every other fix 4.5 degrees (about 500 km) north: valid positions,
+  // absurd speeds.
+  traj::Trajectory teleports;
+  teleports.user_id = kTeleportUser;
+  for (size_t i = 0; i < 120; ++i) {
+    const double k = static_cast<double>(i);
+    teleports.points.push_back(
+        fix(i % 2 == 0 ? 39.9 : 44.4, 116.3 + 1e-4 * k,
+            day_start + 3605.0 + 10.0 * k,
+            i < 60 ? traj::Mode::kBus : traj::Mode::kTrain));
+  }
+  // 50,000 s of 20 Hz driving, all inside one UTC day.
+  traj::Trajectory million;
+  million.user_id = kMillionUser;
+  million.points.reserve(kMillion);
+  for (size_t i = 0; i < kMillion; ++i) {
+    const double k = static_cast<double>(i);
+    million.points.push_back(
+        fix(39.9 + 2e-7 * k, 116.3 + 1e-3 * std::sin(1e-3 * k),
+            day_start + 3600.0 + 0.05 * k, traj::Mode::kCar));
+  }
+  std::vector<traj::Trajectory> corpus;
+  corpus.push_back(std::move(million));
+  corpus.push_back(duplicates);
+  for (int user = 3; user <= 6; ++user) {
+    traj::Trajectory single;
+    single.user_id = user;
+    single.points.push_back(fix(39.9, 116.3, day_start + 3600.0 + 700.0 * user,
+                                traj::Mode::kWalk));
+    corpus.push_back(single);
+  }
+  corpus.push_back(teleports);
+
+  struct Run {
+    ReplayReport report;
+    // Sink-observed close order: (session, start, points, reason, class).
+    std::vector<std::tuple<int64_t, double, size_t, CloseReason, int>> closes;
+    // The delivered vectors of the duplicate and teleport users.
+    std::map<int64_t, std::vector<std::vector<double>>> features;
+    size_t non_finite = 0;
+  };
+  const auto run = [&](size_t shards) {
+    ModelRegistry registry;
+    EXPECT_TRUE(registry.Publish(fixture.model).ok());
+    ServingPlaneOptions plane_options;
+    plane_options.shards = shards;
+    ServingPlane plane(&registry, plane_options);
+    Run result;
+    ReplayOptions options;
+    options.closed_sink = [&result](const ClosedSegment& segment,
+                                    int predicted) {
+      result.closes.emplace_back(segment.session_id, segment.start_time,
+                                 segment.num_points, segment.reason,
+                                 predicted);
+      EXPECT_EQ(segment.features.size(), traj::kNumTrajectoryFeatures);
+      for (const double value : segment.features) {
+        if (!std::isfinite(value)) ++result.non_finite;
+      }
+      if (segment.session_id == kDuplicateUser ||
+          segment.session_id == kTeleportUser) {
+        result.features[segment.session_id].push_back(segment.features);
+      }
+    };
+    auto report = ReplayCorpus(corpus, fixture.labels, plane, options);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    result.report = std::move(report).value();
+    return result;
+  };
+
+  const traj::TrajectoryFeatureExtractor extractor;
+  const Run one = run(1);
+  const Run four = run(4);
+  for (const Run* result : {&one, &four}) {
+    const ReplayReport& report = result->report;
+    SCOPED_TRACE(result == &one ? "1 shard" : "4 shards");
+    EXPECT_EQ(report.points, kMillion + duplicates.points.size() +
+                                 teleports.points.size() + 4);
+    EXPECT_EQ(report.segments_closed,
+              report.segments_evaluated + report.segments_outside_label_set +
+                  report.shed + report.deadline_exceeded);
+    EXPECT_EQ(result->closes.size(), report.segments_closed);
+    EXPECT_GT(report.segments_outside_label_set, 0u);
+    // The four one-point users and the six-fix bike block.
+    EXPECT_EQ(report.session_stats.segments_discarded_short, 5u);
+    EXPECT_EQ(report.session_stats.segments_discarded_unlabeled, 1u);
+    EXPECT_EQ(result->non_finite, 0u);
+    const auto million_closes = std::count_if(
+        result->closes.begin(), result->closes.end(), [](const auto& close) {
+          return std::get<0>(close) == kMillionUser &&
+                 std::get<2>(close) == kMillion &&
+                 std::get<3>(close) == CloseReason::kFlush;
+        });
+    EXPECT_EQ(million_closes, 1);
+
+    for (const traj::Trajectory* stream : {&duplicates, &teleports}) {
+      SCOPED_TRACE("user " + std::to_string(stream->user_id));
+      const std::vector<traj::Segment> offline =
+          traj::SegmentTrajectory(*stream, traj::SegmentationOptions{});
+      const auto it = result->features.find(stream->user_id);
+      ASSERT_NE(it, result->features.end());
+      ASSERT_EQ(it->second.size(), offline.size());
+      for (size_t s = 0; s < offline.size(); ++s) {
+        const auto expected = extractor.Extract(offline[s]);
+        ASSERT_TRUE(expected.ok());
+        ExpectBitIdentical(it->second[s], expected.value());
+      }
+    }
+  }
+  EXPECT_EQ(four.report.y_true, one.report.y_true);
+  EXPECT_EQ(four.report.y_pred, one.report.y_pred);
+  EXPECT_EQ(four.closes, one.closes);
 }
 
 // ------------------------------------------------ Counter publishing --
@@ -1758,9 +1845,7 @@ TEST(ServingPlaneTest, CountTablesNameEveryCountedStatOnce) {
   session.segments_emitted = 4;
   session.segments_discarded_short = 5;
   session.segments_discarded_unlabeled = 6;
-  session.sessions_evicted_idle = 7;
-  session.sessions_evicted_cap = 8;
-  for (size_t r = 0; r < kNumCloseReasons; ++r) session.closed[r] = 9 + r;
+  for (size_t r = 0; r < kNumCloseReasons; ++r) session.closed[r] = 7 + r;
   std::multiset<size_t> seen;
   std::set<std::string> names;
   for (const auto& count : SessionCounts(session)) {
@@ -1768,7 +1853,7 @@ TEST(ServingPlaneTest, CountTablesNameEveryCountedStatOnce) {
     names.insert(count.name);
   }
   std::multiset<size_t> want;
-  for (size_t v = 1; v < 9 + kNumCloseReasons; ++v) want.insert(v);
+  for (size_t v = 1; v < 7 + kNumCloseReasons; ++v) want.insert(v);
   EXPECT_EQ(seen, want);
   for (size_t r = 0; r < kNumCloseReasons; ++r) {
     EXPECT_EQ(names.count("sessions.closed." +
@@ -1803,16 +1888,13 @@ TEST(ServingPlaneTest, ComponentsWriteNoCounters) {
   const std::map<std::string, uint64_t> before = RegistrySnapshot(names);
 
   SessionOptions session_options;
-  session_options.max_sessions = 2;
   session_options.max_segment_points = 32;
-  session_options.idle_after_seconds = 600.0;
   SessionManager sessions(session_options);
   std::vector<ClosedSegment> closed;
   for (const traj::Trajectory& trajectory : fixture.corpus) {
     for (const traj::TrajectoryPoint& point : trajectory.points) {
       sessions.Ingest(trajectory.user_id, point, &closed);
     }
-    sessions.EvictIdle(trajectory.points.back().timestamp + 3600.0, &closed);
   }
   sessions.FlushAll(&closed);
   EXPECT_GT(sessions.stats().segments_emitted, 0u);

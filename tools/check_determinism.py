@@ -70,8 +70,6 @@ SHARD_RE = re.compile(r"^serve\.shard(\d+)\.(.+)$")
 SHARD_BASENAME_TO_AGGREGATE = {
     "sessions.points_ingested": "serve.sessions.points_ingested",
     "sessions.segments_emitted": "serve.sessions.segments_emitted",
-    "sessions.evicted_idle": "serve.sessions.evicted_idle",
-    "sessions.evicted_cap": "serve.sessions.evicted_cap",
     "batch_predictor.requests": "serve.batch_predictor.requests",
     "shed_total": "serve.shed_total",
     "deadline_exceeded_total": "serve.deadline_exceeded_total",

@@ -19,6 +19,8 @@
 //                     [--folds=5]
 //                     [--scale=1.0] [--seed=S]
 //       Cross-validated evaluation with a full classification report.
+//       --folds must lie in [2, samples] (for `user`, [2, distinct
+//       users]; for `temporal`, [2, samples - 1]); else it exits 2.
 //
 //   trajkit predict   --dataset=FILE.csv --model=FILE.model
 //                     [--output=FILE.csv]
@@ -115,7 +117,8 @@
 //       `serve-replay --store_out` (src/store/): the default is a
 //       bbox/time/mode scan through the bulk-loaded spatial index,
 //       --user lists one user's history, and --hotspots aggregates the
-//       top-k cells of a uniform CELL_DEG-degree grid. --oracle re-runs
+//       top-k cells of a uniform CELL_DEG-degree grid (CELL_DEG finite
+//       and >= 1e-9, else it exits 2). --oracle re-runs
 //       the query through the brute-force scan and fails unless both
 //       answers are byte-identical.
 //
@@ -146,6 +149,7 @@
 // (default: TRAJKIT_THREADS env var, else hardware concurrency). Results
 // are bit-identical at any thread count.
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -313,6 +317,16 @@ int RunEvaluate(const Flags& flags) {
       flags.GetString("scheme", "random"));
   if (!scheme.ok()) return Fail(scheme.status(), "scheme");
   const int folds = flags.GetInt("folds", 5);
+  // MakeFolds CHECKs its fold count; a bad flag fails with a message.
+  const size_t max_folds = core::MaxFolds(scheme.value(), dataset.value());
+  if (folds < 2 || static_cast<size_t>(folds) > max_folds) {
+    std::fprintf(stderr,
+                 "evaluate: --folds=%d is outside [2, %zu] for --scheme=%s "
+                 "on this dataset\n",
+                 folds, max_folds,
+                 std::string(core::CvSchemeToString(scheme.value())).c_str());
+    return 2;
+  }
   const auto cv_folds = core::MakeFolds(
       scheme.value(), dataset.value(), folds,
       flags.GetUint64("seed", 42));
@@ -753,14 +767,14 @@ int RunQuery(const Flags& flags) {
     std::fprintf(stderr, "query: --store=FILE is required\n");
     return 2;
   }
-  store::TrajectoryStore trajectory_store;
-  {
-    const Status status = trajectory_store.Load(store_path);
-    if (!status.ok()) return Fail(status, "store load");
+  const double cell_deg = flags.GetDouble("hotspots", 0.01);
+  if (!std::isfinite(cell_deg) || cell_deg < store::kMinHotspotCellDeg) {
+    std::fprintf(stderr,
+                 "query: --hotspots wants a finite cell size of at least "
+                 "%g deg\n",
+                 store::kMinHotspotCellDeg);
+    return 2;
   }
-  std::printf("store: %zu segments from %s\n", trajectory_store.size(),
-              store_path.c_str());
-
   store::TimeRange time = store::TimeRange::All();
   if (flags.Has("time")) {
     auto values =
@@ -773,6 +787,14 @@ int RunQuery(const Flags& flags) {
   if (!mask.ok()) return Fail(mask.status(), "mode mask");
   const size_t limit = static_cast<size_t>(flags.GetInt("limit", 20));
   const bool oracle = flags.Has("oracle");
+
+  store::TrajectoryStore trajectory_store;
+  {
+    const Status status = trajectory_store.Load(store_path);
+    if (!status.ok()) return Fail(status, "store load");
+  }
+  std::printf("store: %zu segments from %s\n", trajectory_store.size(),
+              store_path.c_str());
 
   if (flags.Has("user")) {
     const int32_t user_id = flags.GetInt("user", 0);
@@ -790,11 +812,6 @@ int RunQuery(const Flags& flags) {
   }
 
   if (flags.Has("hotspots")) {
-    const double cell_deg = flags.GetDouble("hotspots", 0.01);
-    if (cell_deg <= 0.0) {
-      std::fprintf(stderr, "query: --hotspots wants a positive cell size\n");
-      return 2;
-    }
     const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
     const std::vector<store::HotspotCell> cells =
         trajectory_store.TopKHotspots(cell_deg, k, mask.value());
