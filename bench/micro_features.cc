@@ -176,6 +176,45 @@ void BM_SessionIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionIngest);
 
+// Per-point ingest of the `trips` shape: 60 users' 584-fix random walks,
+// their start times staggered, fed in timestamp-merge order, so nearly
+// every fix goes to another session than the one before it and the
+// session lookup is on the measured path. Only the ingest is timed: the
+// 60 closes at the end of each iteration (the derive step and the 70
+// statistics, which BM_SessionIngest covers) run with the timer paused.
+void BM_SessionIngestInterleaved(benchmark::State& state) {
+  constexpr int kUsers = 60;
+  struct Fix {
+    int64_t user;
+    traj::TrajectoryPoint point;
+  };
+  std::vector<Fix> stream;
+  for (int user = 0; user < kUsers; ++user) {
+    for (traj::TrajectoryPoint point :
+         RandomWalkPoints(584, /*seed=*/100 + static_cast<uint64_t>(user))) {
+      point.timestamp += 7.0 * user;
+      stream.push_back({user, point});
+    }
+  }
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const Fix& a, const Fix& b) {
+                     return a.point.timestamp < b.point.timestamp;
+                   });
+  serve::SessionManager sessions;
+  std::vector<serve::ClosedSegment> closed;
+  for (auto _ : state) {
+    for (const Fix& fix : stream) sessions.Ingest(fix.user, fix.point, &closed);
+    state.PauseTiming();
+    sessions.FlushAll(&closed);
+    benchmark::DoNotOptimize(closed.back().features.data());
+    closed.clear();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(stream.size()));
+}
+BENCHMARK(BM_SessionIngestInterleaved);
+
 void BM_Segmentation(benchmark::State& state) {
   synthgeo::GeneratorOptions options;
   options.num_users = 4;

@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <limits>
+
 #include "common/strings.h"
 
 namespace trajkit {
@@ -24,22 +26,45 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+void Flags::RecordMalformed(const std::string& key, const std::string& value,
+                            const char* type) const {
+  if (!status_.ok()) return;
+  status_ = Status::InvalidArgument(
+      StrPrintf("--%s=%s is not %s", key.c_str(), value.c_str(), type));
+}
+
 int Flags::GetInt(const std::string& key, int fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return static_cast<int>(ParseInt64(it->second).value_or(fallback));
+  const auto value = ParseInt64(it->second);
+  if (!value.ok() || value.value() < std::numeric_limits<int>::min() ||
+      value.value() > std::numeric_limits<int>::max()) {
+    RecordMalformed(key, it->second, "an int");
+    return fallback;
+  }
+  return static_cast<int>(value.value());
 }
 
 uint64_t Flags::GetUint64(const std::string& key, uint64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return static_cast<uint64_t>(ParseUint64(it->second).value_or(fallback));
+  const auto value = ParseUint64(it->second);
+  if (!value.ok()) {
+    RecordMalformed(key, it->second, "an unsigned 64-bit integer");
+    return fallback;
+  }
+  return static_cast<uint64_t>(value.value());
 }
 
 double Flags::GetDouble(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return ParseDouble(it->second).value_or(fallback);
+  const auto value = ParseDouble(it->second);
+  if (!value.ok()) {
+    RecordMalformed(key, it->second, "a number");
+    return fallback;
+  }
+  return value.value();
 }
 
 std::string Flags::GetString(const std::string& key,

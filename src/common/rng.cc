@@ -3,16 +3,18 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/hash.h"
+
 namespace trajkit {
 
 namespace {
 
+/// One splitmix64 step: advances the state by the golden-ratio increment
+/// and returns the mixed new state, which is Mix64 of the old one.
 uint64_t SplitMix64(uint64_t& x) {
+  const uint64_t z = Mix64(x);
   x += 0x9E3779B97F4A7C15ULL;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return z;
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

@@ -223,6 +223,7 @@ Result<ServeConfig> ParseServeFlags(const Flags& flags,
             StrPrintf("--%s requires --continuous_training", name));
       }
     }
+    TRAJKIT_RETURN_IF_ERROR(flags.status());
     return config;
   }
 
@@ -283,6 +284,7 @@ Result<ServeConfig> ParseServeFlags(const Flags& flags,
                   ct.drift_degraded_rate));
   }
 
+  TRAJKIT_RETURN_IF_ERROR(flags.status());
   return config;
 }
 

@@ -125,7 +125,8 @@ struct ServeConfig {
 /// Parses + validates the shared serving flags against an entry point's
 /// defaults. Errors are InvalidArgument naming the offending flag (e.g.
 /// "--shards must be >= 1", "--refit_every requires
-/// --continuous_training", or a retired flag such as --max_delay_ms).
+/// --continuous_training", a retired flag such as --max_delay_ms, or a
+/// value that is not a number of the flag's type: Flags::status()).
 Result<ServeConfig> ParseServeFlags(const Flags& flags,
                                     const ServeConfigDefaults& defaults);
 

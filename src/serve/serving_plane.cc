@@ -4,20 +4,12 @@
 #include <string>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/strings.h"
 
 namespace trajkit::serve {
 
 namespace {
-
-/// splitmix64 finalizer: a cheap, well-mixed hash so consecutive user ids
-/// spread evenly instead of striping across shards.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Resolves the registry counters of every row of `counts` for shard
 /// `shard`, appending one Published entry per row.

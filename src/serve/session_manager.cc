@@ -1,9 +1,10 @@
 #include "serve/session_manager.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 #include <utility>
 
+#include "common/hash.h"
 #include "obs/request_trace.h"
 #include "traj/trajectory_features.h"
 
@@ -25,8 +26,7 @@ std::string_view CloseReasonToString(CloseReason reason) {
   return "unknown";
 }
 
-void SessionManager::CloseSegment(int64_t session_id, Session* session,
-                                  CloseReason reason,
+void SessionManager::CloseSegment(Session* session, CloseReason reason,
                                   std::vector<ClosedSegment>* closed) {
   if (session->count() == 0) return;
   // Feature extraction needs two points even when the configured floor is
@@ -45,8 +45,8 @@ void SessionManager::CloseSegment(int64_t session_id, Session* session,
     scratch_.bearing = session->bearing;
     traj::DerivePointFeatures(options_.point_features, &scratch_);
     ClosedSegment segment;
-    segment.session_id = session_id;
-    segment.user_id = static_cast<int>(session_id);
+    segment.session_id = session->id;
+    segment.user_id = static_cast<int>(session->id);
     segment.day = session->day;
     segment.mode = session->mode;
     segment.start_time = session->start_time;
@@ -86,15 +86,26 @@ void SessionManager::Ingest(int64_t session_id,
                             std::vector<ClosedSegment>* closed) {
   ++stats_.points_ingested;
   // A NaN or infinite fix would poison the session's MBR (a store log its
-  // own Load rejects) and the day index cast; it never opens a session.
-  if (!std::isfinite(point.timestamp) || !geo::IsValid(point.pos)) {
+  // own Load rejects); a timestamp without a day index (non-finite, or
+  // beyond about 7.9e23 s) would make the day cast undefined. Neither
+  // opens a session.
+  if (!traj::HasDayIndex(point.timestamp) || !geo::IsValid(point.pos)) {
     ++stats_.points_dropped_invalid;
     return;
   }
   // A session opens with a kept fix and lives until CloseSession, so an
   // existing session always has a last kept fix.
-  auto [it, inserted] = sessions_.try_emplace(session_id);
-  Session& session = it->second;
+  size_t slot = FindSlot(session_id);
+  const bool inserted = slots_[slot].pos == 0;
+  if (inserted) {
+    if (2 * (pool_.size() + 1) > slots_.size()) {
+      Grow();
+      slot = FindSlot(session_id);
+    }
+    slots_[slot] = {session_id, pool_.size() + 1};
+    pool_.emplace_back().id = session_id;
+  }
+  Session& session = pool_[slots_[slot].pos - 1];
 
   // Same cleaning rule as the offline segmenter: a fix older than the last
   // kept fix of this session is dropped (even across a segment boundary).
@@ -121,7 +132,7 @@ void SessionManager::Ingest(int64_t session_id,
       boundary = true;
       reason = CloseReason::kTimeGap;
     }
-    if (boundary) CloseSegment(session_id, &session, reason, closed);
+    if (boundary) CloseSegment(&session, reason, closed);
   }
 
   // The leg step of traj::ComputePointFeatures, one fix at a time; the
@@ -146,7 +157,7 @@ void SessionManager::Ingest(int64_t session_id,
   // Max-window rule: the serving-only bound on per-segment buffers.
   if (options_.max_segment_points > 0 &&
       session.count() >= options_.max_segment_points) {
-    CloseSegment(session_id, &session, CloseReason::kMaxWindow, closed);
+    CloseSegment(&session, CloseReason::kMaxWindow, closed);
   }
 }
 
@@ -158,19 +169,66 @@ void SessionManager::FlushAll(std::vector<ClosedSegment>* closed) {
 
 std::vector<int64_t> SessionManager::OpenSessionIds() const {
   std::vector<int64_t> ids;
-  ids.reserve(sessions_.size());
-  for (const auto& [session_id, session] : sessions_) {
-    ids.push_back(session_id);
-  }
+  ids.reserve(pool_.size());
+  for (const Session& session : pool_) ids.push_back(session.id);
+  // The pool is in no useful order; sorting here is what makes every
+  // flush close in ascending session id.
+  std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 void SessionManager::CloseSession(int64_t session_id, CloseReason reason,
                                   std::vector<ClosedSegment>* closed) {
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  CloseSegment(session_id, &it->second, reason, closed);
-  sessions_.erase(it);
+  const size_t slot = FindSlot(session_id);
+  if (slots_[slot].pos == 0) return;
+  CloseSegment(&pool_[slots_[slot].pos - 1], reason, closed);
+  Erase(slot);
+}
+
+size_t SessionManager::Home(int64_t session_id) const {
+  const int bits = std::countr_zero(slots_.size());
+  return static_cast<size_t>(Mix64(static_cast<uint64_t>(session_id)) >>
+                             (64 - bits));
+}
+
+size_t SessionManager::FindSlot(int64_t session_id) const {
+  const size_t mask = slots_.size() - 1;
+  size_t slot = Home(session_id);
+  while (slots_[slot].pos != 0 && slots_[slot].id != session_id) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void SessionManager::Grow() {
+  slots_.assign(2 * slots_.size(), Slot());
+  for (size_t pos = 1; pos <= pool_.size(); ++pos) {
+    const int64_t session_id = pool_[pos - 1].id;
+    slots_[FindSlot(session_id)] = {session_id, pos};
+  }
+}
+
+void SessionManager::Erase(size_t slot) {
+  const size_t pos = slots_[slot].pos;
+  // Backward-shift deletion, so the table needs no tombstones: walk the
+  // rest of the probe run and move into the hole each entry whose probe
+  // path, from its home slot on, passes through the hole.
+  const size_t mask = slots_.size() - 1;
+  size_t hole = slot;
+  for (size_t i = (hole + 1) & mask; slots_[i].pos != 0; i = (i + 1) & mask) {
+    if (((i - Home(slots_[i].id)) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole] = Slot();
+  // Keep the pool dense: the last session moves into the erased one's
+  // place, and its slot follows it.
+  if (pos != pool_.size()) {
+    pool_[pos - 1] = std::move(pool_.back());
+    slots_[FindSlot(pool_[pos - 1].id)].pos = pos;
+  }
+  pool_.pop_back();
 }
 
 }  // namespace trajkit::serve

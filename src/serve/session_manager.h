@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string_view>
 #include <vector>
 
@@ -102,7 +101,8 @@ struct SessionManagerStats {
 /// stats(); it writes no metric.
 class SessionManager {
  public:
-  explicit SessionManager(SessionOptions options = {}) : options_(options) {}
+  explicit SessionManager(SessionOptions options = {})
+      : options_(options), slots_(kInitialSlots) {}
 
   /// Ingests one fix for `session_id`. At most one closed segment (a
   /// boundary or the max-window rule) is appended to `closed`. Invalid
@@ -136,7 +136,7 @@ class SessionManager {
     closed_sink_ = std::move(sink);
   }
 
-  size_t num_open_sessions() const { return sessions_.size(); }
+  size_t num_open_sessions() const { return pool_.size(); }
   const SessionManagerStats& stats() const { return stats_; }
   const SessionOptions& options() const { return options_; }
 
@@ -153,18 +153,39 @@ class SessionManager {
     int64_t day = 0;
     traj::Mode mode = traj::Mode::kUnknown;
     double start_time = 0.0;
+    int64_t id = 0;  // The session id: its key in slots_.
 
     /// Points in the open segment (0 = none open).
     size_t count() const { return duration.size(); }
   };
+
+  /// One slot of the open-addressing table over pool_: `pos` is the pool
+  /// index of session `id` plus one, and 0 marks an empty slot (every
+  /// int64_t is a valid id, so no id can serve as the marker).
+  struct Slot {
+    int64_t id = 0;
+    size_t pos = 0;
+  };
+  static constexpr size_t kInitialSlots = 16;
 
   /// Flushes the open segment of `session` (if any) as `reason`, applying
   /// the min-point and unlabeled filters, and resets it for the next one.
   /// An emitted segment's features come from traj::DerivePointFeatures and
   /// ExtractFromPointFeatures over its leg columns, the steps the offline
   /// extractor runs, so online and offline vectors are bit-identical.
-  void CloseSegment(int64_t session_id, Session* session, CloseReason reason,
+  void CloseSegment(Session* session, CloseReason reason,
                     std::vector<ClosedSegment>* closed);
+
+  /// Home slot of `session_id`: the top log2(slots_.size()) bits of its
+  /// Mix64 hash.
+  size_t Home(int64_t session_id) const;
+  /// Index into slots_ of `session_id`'s slot, or of the empty slot that
+  /// ends its probe run when the id is absent.
+  size_t FindSlot(int64_t session_id) const;
+  /// Doubles slots_ and re-inserts every pooled session.
+  void Grow();
+  /// Removes the session in slots_[slot] from the table and the pool.
+  void Erase(size_t slot);
 
   SessionOptions options_;
   SessionManagerStats stats_;
@@ -172,8 +193,15 @@ class SessionManager {
   /// closes, so it keeps the capacity of the longest segment seen.
   traj::PointFeatures scratch_;
   std::function<void(const ClosedSegment&)> closed_sink_;
-  /// Ordered map: deterministic iteration for flush.
-  std::map<int64_t, Session> sessions_;
+  /// Open sessions, densely packed in no particular order; Erase moves the
+  /// last one into the hole. Nothing iterates them in pool or table order:
+  /// every ordered walk goes through OpenSessionIds(), which sorts.
+  std::vector<Session> pool_;
+  /// Linear-probing table id -> pool index, a power of two long and at
+  /// most half full. The home slot of an id is the top bits of Mix64(id):
+  /// ServingPlane routes a power-of-two shard count on the low bits of
+  /// the same hash, so within a shard the low bits are all alike.
+  std::vector<Slot> slots_;
 };
 
 }  // namespace trajkit::serve

@@ -1,7 +1,5 @@
 #include "traj/types.h"
 
-#include <cmath>
-
 #include "common/strings.h"
 
 namespace trajkit::traj {
@@ -59,10 +57,6 @@ const std::vector<Mode>& AllLabeledModes() {
       Mode::kTaxi,     Mode::kSubway, Mode::kTrain, Mode::kAirplane,
       Mode::kBoat,     Mode::kRun,   Mode::kMotorcycle};
   return *kModes;
-}
-
-int64_t DayIndex(double timestamp) {
-  return static_cast<int64_t>(std::floor(timestamp / 86400.0));
 }
 
 }  // namespace trajkit::traj

@@ -1,6 +1,7 @@
 #ifndef TRAJKIT_TRAJ_TYPES_H_
 #define TRAJKIT_TRAJ_TYPES_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -67,8 +68,20 @@ struct Segment {
   std::vector<TrajectoryPoint> points;
 };
 
-/// Day index of a timestamp (UTC days since epoch).
-int64_t DayIndex(double timestamp);
+/// True when `timestamp` has a day index: it is finite and
+/// floor(timestamp / 86400) lies in [-2^63, 2^63), the range int64_t holds
+/// (|timestamp| up to about 7.9e23 s). NaN fails both comparisons.
+inline bool HasDayIndex(double timestamp) {
+  const double day = std::floor(timestamp / 86400.0);
+  return day >= -0x1p63 && day < 0x1p63;
+}
+
+/// Day index of a timestamp (UTC days since epoch). Defined only where
+/// HasDayIndex(timestamp) holds: outside it the conversion to int64_t is
+/// undefined behaviour, so a caller fed untrusted timestamps checks first.
+inline int64_t DayIndex(double timestamp) {
+  return static_cast<int64_t>(std::floor(timestamp / 86400.0));
+}
 
 }  // namespace trajkit::traj
 

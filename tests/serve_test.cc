@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/csv.h"
+#include "common/hash.h"
 #include "common/parallel.h"
 #include "common/retry.h"
 #include "common/rng.h"
@@ -603,6 +604,39 @@ TEST(SessionManagerTest, InvalidFixesDroppedBeforeTheyReachASession) {
   EXPECT_EQ(loaded.Segment(0).end_time, clean.back().timestamp);
 }
 
+// A finite timestamp so far out that floor(t / 86400) does not fit
+// int64_t has no day index; casting it would be undefined behaviour. Such
+// a fix is dropped as invalid, like a NaN one, and the segment around it
+// is the clean one bit for bit.
+TEST(SessionManagerTest, TimestampsWithoutADayIndexAreDropped) {
+  Rng rng(31);
+  const std::vector<traj::TrajectoryPoint> clean =
+      RandomSegmentPoints(rng, 40);
+  const double hostile[] = {1e300, -1e300, 1e30, -1e30};
+  std::vector<traj::TrajectoryPoint> stream;
+  for (size_t i = 0; i < clean.size(); ++i) {
+    // Hostile fix k goes in front of clean fix 5k, the first one included.
+    if (i % 5 == 0 && i / 5 < std::size(hostile)) {
+      traj::TrajectoryPoint point = clean[i];
+      point.timestamp = hostile[i / 5];
+      stream.push_back(point);
+    }
+    stream.push_back(clean[i]);
+  }
+
+  SessionManager sessions(ParityOptions());
+  std::vector<ClosedSegment> closed;
+  for (const auto& point : stream) sessions.Ingest(5, point, &closed);
+  sessions.FlushAll(&closed);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].num_points, clean.size());
+  EXPECT_EQ(closed[0].start_time, clean.front().timestamp);
+  ExpectBitIdentical(closed[0].features, BatchFeatures(clean));
+  EXPECT_EQ(sessions.stats().points_ingested, stream.size());
+  EXPECT_EQ(sessions.stats().points_dropped_invalid, std::size(hostile));
+  EXPECT_EQ(sessions.stats().points_dropped_out_of_order, 0u);
+}
+
 TEST(SessionManagerTest, MaxWindowClosesOpenSegment) {
   SessionOptions options;
   options.min_points = 2;
@@ -620,6 +654,167 @@ TEST(SessionManagerTest, MaxWindowClosesOpenSegment) {
   ASSERT_EQ(closed.size(), 3u);
   EXPECT_EQ(closed[2].reason, CloseReason::kFlush);
   EXPECT_EQ(closed[2].num_points, 5u);
+}
+
+// ------------------------------------------------------- Session table --
+
+// The reference: one single-session manager per id, kept in a std::map. No
+// manager's table ever holds more than one session, so the reference's
+// order and membership are the map's.
+class MapKeyedSessions {
+ public:
+  explicit MapKeyedSessions(SessionOptions options) : options_(options) {}
+
+  void Ingest(int64_t id, const traj::TrajectoryPoint& point,
+              std::vector<ClosedSegment>* closed) {
+    auto it = managers_.try_emplace(id, options_).first;
+    it->second.Ingest(id, point, closed);
+    if (it->second.num_open_sessions() == 0) managers_.erase(it);
+  }
+  void CloseSession(int64_t id, std::vector<ClosedSegment>* closed) {
+    auto it = managers_.find(id);
+    if (it == managers_.end()) return;
+    it->second.CloseSession(id, CloseReason::kFlush, closed);
+    managers_.erase(it);
+  }
+  void FlushAll(std::vector<ClosedSegment>* closed) {
+    for (auto& [id, manager] : managers_) manager.FlushAll(closed);
+    managers_.clear();
+  }
+  std::vector<int64_t> OpenSessionIds() const {
+    std::vector<int64_t> ids;
+    for (const auto& [id, manager] : managers_) ids.push_back(id);
+    return ids;
+  }
+  size_t num_open_sessions() const { return managers_.size(); }
+
+ private:
+  SessionOptions options_;
+  std::map<int64_t, SessionManager> managers_;
+};
+
+void ExpectSameSegment(const ClosedSegment& got, const ClosedSegment& want) {
+  EXPECT_EQ(got.session_id, want.session_id);
+  EXPECT_EQ(got.user_id, want.user_id);
+  EXPECT_EQ(got.day, want.day);
+  EXPECT_EQ(got.mode, want.mode);
+  EXPECT_EQ(got.start_time, want.start_time);
+  EXPECT_EQ(got.end_time, want.end_time);
+  EXPECT_EQ(got.num_points, want.num_points);
+  EXPECT_EQ(got.reason, want.reason);
+  EXPECT_EQ(got.bbox.min_lat, want.bbox.min_lat);
+  EXPECT_EQ(got.bbox.max_lat, want.bbox.max_lat);
+  EXPECT_EQ(got.bbox.min_lon, want.bbox.min_lon);
+  EXPECT_EQ(got.bbox.max_lon, want.bbox.max_lon);
+  ExpectBitIdentical(got.features, want.features);
+}
+
+// `count` ids that share `bits` of their Mix64 hash with `seed`'s, found
+// by search from `seed` outwards.
+std::vector<int64_t> IdsSharingHashBits(int64_t seed, uint64_t bits,
+                                        size_t count) {
+  const uint64_t want = Mix64(static_cast<uint64_t>(seed)) & bits;
+  std::vector<int64_t> ids;
+  for (int64_t step = 1; ids.size() < count; ++step) {
+    for (const int64_t id : {seed + step, seed - step}) {
+      if ((Mix64(static_cast<uint64_t>(id)) & bits) == want) ids.push_back(id);
+    }
+  }
+  return ids;
+}
+
+// One SessionManager against the map-keyed reference over a random stream
+// of ingests, closes, reopens and flushes: the same segments in the same
+// order, and the same ascending open ids and count after every call.
+TEST(SessionTableTest, MatchesMapKeyedReference) {
+  SessionOptions options;
+  options.min_points = 3;
+  options.max_gap_seconds = 3600.0;
+  options.max_segment_points = 50;
+  SessionManager sessions(options);
+  MapKeyedSessions reference(options);
+
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<int64_t> ids = {kMin, kMin + 1, kMax, kMax - 1, -1, 0, 1, -42};
+  // The home slot is the top bits of the hash, and a power-of-two shard
+  // count routes on its low bits. Ids alike in the top bits share a home
+  // slot; ids alike in the low bits would share one too if the table
+  // indexed by them. 10 alike bits hold at every size up to 1024 slots.
+  for (const int64_t id : IdsSharingHashBits(7, 0x3ffULL << 54, 12)) {
+    ids.push_back(id);
+  }
+  for (const int64_t id : IdsSharingHashBits(-7, 0x3ffULL, 12)) {
+    ids.push_back(id);
+  }
+  Rng rng(37);
+  while (ids.size() < 320) {
+    ids.push_back(static_cast<int64_t>(rng.NextUint64()));
+  }
+
+  struct Walk {
+    double t = 1.2e9;
+    geo::LatLon pos{39.9, 116.3};
+    traj::Mode mode = traj::Mode::kWalk;
+  };
+  std::map<int64_t, Walk> walks;
+  const traj::Mode modes[] = {traj::Mode::kWalk, traj::Mode::kBus,
+                              traj::Mode::kUnknown};
+
+  std::vector<ClosedSegment> got;
+  std::vector<ClosedSegment> want;
+  size_t max_open = 0;
+  size_t flushes = 0;
+  size_t reopens = 0;
+  std::set<int64_t> closed_ids;
+  for (int step = 0; step < 20000; ++step) {
+    const int64_t id = ids[rng.NextBounded(ids.size())];
+    // The first 3000 steps only ingest, so nearly every id gets to be open
+    // at once before closes and flushes start.
+    const uint64_t action = step < 3000 ? 1000 : rng.NextBounded(1000);
+    if (action < 2) {
+      sessions.FlushAll(&got);
+      reference.FlushAll(&want);
+      ++flushes;
+    } else if (action < 40) {
+      sessions.CloseSession(id, CloseReason::kFlush, &got);
+      reference.CloseSession(id, &want);
+      closed_ids.insert(id);
+    } else {
+      Walk& walk = walks[id];
+      traj::TrajectoryPoint point;
+      walk.t += rng.Uniform(1.0, 120.0);
+      if (rng.NextBounded(200) == 0) walk.t += 86400.0;  // Next day.
+      if (rng.NextBounded(100) == 0) walk.t += 7200.0;   // Time gap.
+      if (rng.NextBounded(40) == 0) walk.mode = modes[rng.NextBounded(3)];
+      walk.pos.lat_deg += rng.Gaussian(0.0, 1e-4);
+      walk.pos.lon_deg += rng.Gaussian(0.0, 1e-4);
+      point.pos = walk.pos;
+      point.timestamp = walk.t;
+      point.mode = walk.mode;
+      if (rng.NextBounded(50) == 0) point.timestamp -= 600.0;  // Stale.
+      if (rng.NextBounded(200) == 0) point.timestamp = 1e300;  // No day.
+      if (closed_ids.erase(id) > 0) ++reopens;
+      sessions.Ingest(id, point, &got);
+      reference.Ingest(id, point, &want);
+    }
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    const std::vector<int64_t> open = sessions.OpenSessionIds();
+    ASSERT_EQ(open, reference.OpenSessionIds()) << "step " << step;
+    ASSERT_EQ(sessions.num_open_sessions(), reference.num_open_sessions())
+        << "step " << step;
+    max_open = std::max(max_open, open.size());
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    ExpectSameSegment(got[i], want[i]);
+  }
+  // The stream did what it is for: several growths (from 16 slots at most
+  // half full, 257 open sessions take six), flushes and reopened ids.
+  EXPECT_GT(max_open, 256u);
+  EXPECT_GE(flushes, 10u);
+  EXPECT_GT(reopens, 100u);
+  EXPECT_GT(got.size(), 1000u);
 }
 
 // ----------------------------------------------------------- Registry --

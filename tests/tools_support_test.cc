@@ -58,6 +58,33 @@ TEST(FlagsTest, GetUint64FallsBackOnMalformedOrNegative) {
   EXPECT_EQ(flags.GetUint64("b", 3), 3u);
 }
 
+TEST(FlagsTest, StatusNamesTheFirstValueAGetterCouldNotRead) {
+  const Flags flags =
+      MakeFlags({"--folds=4294967298", "--rate=abc", "--seed=-1", "--k=3"});
+  EXPECT_TRUE(flags.status().ok());
+  EXPECT_EQ(flags.GetInt("k", 0), 3);
+  EXPECT_TRUE(flags.status().ok());
+  // 2^32 + 2 parses as int64 but would narrow to 2 through int.
+  EXPECT_EQ(flags.GetInt("folds", 5), 5);
+  EXPECT_EQ(flags.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(flags.status().message().find("--folds=4294967298"),
+            std::string::npos);
+  // Later failures keep the first record.
+  EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.5), 0.5);
+  EXPECT_EQ(flags.GetUint64("seed", 9), 9u);
+  EXPECT_NE(flags.status().message().find("--folds"), std::string::npos);
+
+  const Flags one_bad = MakeFlags({"--rate=abc"});
+  EXPECT_DOUBLE_EQ(one_bad.GetDouble("rate", 0.5), 0.5);
+  EXPECT_NE(one_bad.status().message().find("--rate=abc"),
+            std::string::npos);
+  // Absent flags and GetString/GetBool never record anything.
+  const Flags absent = MakeFlags({"--name=abc"});
+  EXPECT_EQ(absent.GetInt("missing", 1), 1);
+  EXPECT_EQ(absent.GetString("name", ""), "abc");
+  EXPECT_TRUE(absent.status().ok());
+}
+
 TEST(StringsTest, ParseUint64RoundTrips) {
   EXPECT_EQ(ParseUint64("18446744073709551615").value(),
             18446744073709551615ULL);

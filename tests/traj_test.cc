@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <span>
 #include <vector>
@@ -66,6 +67,21 @@ TEST(TypesTest, DayIndex) {
   EXPECT_EQ(DayIndex(86399.0), 0);
   EXPECT_EQ(DayIndex(86400.0), 1);
   EXPECT_EQ(DayIndex(-1.0), -1);
+}
+
+TEST(TypesTest, HasDayIndexIsTheRangeOfInt64Days) {
+  EXPECT_TRUE(HasDayIndex(0.0));
+  EXPECT_TRUE(HasDayIndex(-1.2e9));
+  // -2^63 days is the last representable day; 2^63 is the first that is not.
+  const double first_day = -0x1p63 * 86400.0;
+  EXPECT_TRUE(HasDayIndex(first_day));
+  EXPECT_EQ(DayIndex(first_day), std::numeric_limits<int64_t>::min());
+  EXPECT_FALSE(HasDayIndex(0x1p63 * 86400.0));
+  EXPECT_FALSE(HasDayIndex(first_day * 2.0));
+  EXPECT_FALSE(HasDayIndex(1e30));
+  EXPECT_FALSE(HasDayIndex(-1e300));
+  EXPECT_FALSE(HasDayIndex(std::numeric_limits<double>::infinity()));
+  EXPECT_FALSE(HasDayIndex(std::numeric_limits<double>::quiet_NaN()));
 }
 
 // ---------------------------------------------------------- Segmentation --

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Tests for hostile `trajkit` flags: a flag value that the query or
-cross-validation code cannot honour is a clean exit 2 naming the flag,
+cross-validation code cannot honour, or that is not a number of the
+flag's type, is a clean exit 2 naming the flag,
 never a signal (a failed CHECK aborts) or a silent wrong answer.
 
 Usage: trajkit_cli_flags_test.py PATH/TO/trajkit
@@ -86,6 +87,22 @@ class TrajkitCliFlagsTest(unittest.TestCase):
     def test_more_folds_than_samples_is_rejected(self):
         self.assert_rejected("--folds", "evaluate",
                              f"--dataset={self.features}", "--folds=100000")
+
+    def test_folds_beyond_int_is_rejected(self):
+        # 2^32 + 2 used to narrow through int and run 2-fold CV.
+        self.assert_rejected("--folds", "evaluate",
+                             f"--dataset={self.features}",
+                             "--folds=4294967298")
+
+    def test_malformed_folds_is_rejected(self):
+        # Used to fall back to the default and run 5-fold CV.
+        self.assert_rejected("--folds", "evaluate",
+                             f"--dataset={self.features}", "--folds=abc")
+
+    def test_malformed_hotspots_is_rejected(self):
+        # Used to fall back to the default 0.01 deg grid.
+        self.assert_rejected("--hotspots", "query", f"--store={self.store}",
+                             "--hotspots=abc")
 
     def test_valid_folds_still_evaluate(self):
         result = run("evaluate", f"--dataset={self.features}",

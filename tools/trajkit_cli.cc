@@ -147,7 +147,9 @@
 //
 // Every command also accepts --threads=N to bound the shared worker pool
 // (default: TRAJKIT_THREADS env var, else hardware concurrency). Results
-// are bit-identical at any thread count.
+// are bit-identical at any thread count. A numeric flag whose value does
+// not parse as its type or does not fit it (--folds=abc,
+// --folds=4294967298) exits 2 naming the flag.
 
 #include <cmath>
 #include <cstdio>
@@ -192,6 +194,15 @@ int Fail(const Status& status, const char* what) {
   return 1;
 }
 
+/// 2 after naming the first numeric flag whose value did not parse or fit
+/// its type (Flags::status), else 0. Commands call it once they have read
+/// their flags and before they act on them.
+int RejectMalformedFlags(const Flags& flags) {
+  if (flags.status().ok()) return 0;
+  std::fprintf(stderr, "%s\n", flags.status().message().c_str());
+  return 2;
+}
+
 synthgeo::GeneratorOptions GeneratorOptionsFromFlags(const Flags& flags) {
   synthgeo::GeneratorOptions options;
   options.num_users = flags.GetInt("users", 20);
@@ -227,7 +238,9 @@ int RunGenerate(const Flags& flags) {
     std::fprintf(stderr, "generate: --out=DIR is required\n");
     return 2;
   }
-  synthgeo::GeoLifeLikeGenerator generator(GeneratorOptionsFromFlags(flags));
+  const synthgeo::GeneratorOptions options = GeneratorOptionsFromFlags(flags);
+  if (const int code = RejectMalformedFlags(flags)) return code;
+  synthgeo::GeoLifeLikeGenerator generator(options);
   Stopwatch timer;
   const std::vector<traj::Trajectory> corpus = generator.Generate();
   const Status status = geolife::ExportGeoLifeCorpus(corpus, out);
@@ -244,12 +257,7 @@ int RunFeatures(const Flags& flags) {
     std::fprintf(stderr, "features: --out=FILE.csv is required\n");
     return 2;
   }
-  auto corpus = LoadCorpus(flags, GeneratorOptionsFromFlags(flags));
-  if (!corpus.ok()) return Fail(corpus.status(), "GeoLife load");
-
-  auto labels = LabelSetFromFlags(flags);
-  if (!labels.ok()) return Fail(labels.status(), "label set");
-
+  const synthgeo::GeneratorOptions synthetic = GeneratorOptionsFromFlags(flags);
   core::PipelineOptions options;
   options.remove_noise = flags.GetBool("denoise", false);
   options.include_extended_features = flags.GetBool("extended", false);
@@ -257,6 +265,14 @@ int RunFeatures(const Flags& flags) {
     options.strategy = core::SegmentationStrategy::kFixedWindows;
     options.windows.window_seconds = flags.GetDouble("windows", 180.0);
   }
+  if (const int code = RejectMalformedFlags(flags)) return code;
+
+  auto corpus = LoadCorpus(flags, synthetic);
+  if (!corpus.ok()) return Fail(corpus.status(), "GeoLife load");
+
+  auto labels = LabelSetFromFlags(flags);
+  if (!labels.ok()) return Fail(labels.status(), "label set");
+
   const core::Pipeline pipeline(options);
   auto dataset = pipeline.BuildDataset(corpus.value(), labels.value());
   if (!dataset.ok()) return Fail(dataset.status(), "pipeline");
@@ -276,13 +292,15 @@ int RunTrain(const Flags& flags) {
                  "train: --dataset=FILE.csv and --model=FILE are required\n");
     return 2;
   }
-  auto dataset = ml::LoadDatasetCsv(dataset_path);
-  if (!dataset.ok()) return Fail(dataset.status(), "dataset load");
-
   ml::RandomForestParams params;
   params.n_estimators = flags.GetInt("trees", 50);
   params.balanced_class_weights = flags.GetBool("balanced", false);
   params.seed = flags.GetUint64("seed", 42);
+  if (const int code = RejectMalformedFlags(flags)) return code;
+
+  auto dataset = ml::LoadDatasetCsv(dataset_path);
+  if (!dataset.ok()) return Fail(dataset.status(), "dataset load");
+
   ml::RandomForest forest(params);
   Stopwatch timer;
   const Status fit = forest.Fit(dataset.value());
@@ -317,6 +335,7 @@ int RunEvaluate(const Flags& flags) {
       flags.GetString("scheme", "random"));
   if (!scheme.ok()) return Fail(scheme.status(), "scheme");
   const int folds = flags.GetInt("folds", 5);
+  if (const int code = RejectMalformedFlags(flags)) return code;
   // MakeFolds CHECKs its fold count; a bad flag fails with a message.
   const size_t max_folds = core::MaxFolds(scheme.value(), dataset.value());
   if (folds < 2 || static_cast<size_t>(folds) > max_folds) {
@@ -486,6 +505,8 @@ int RunServeReplay(const Flags& flags) {
   }
   auto config_or =
       serve::ParseServeFlags(flags, serve::ServeReplayDefaults());
+  const int top_k = flags.GetInt("top_k", 20);
+  if (const int code = RejectMalformedFlags(flags)) return code;
   if (!config_or.ok()) return Fail(config_or.status(), "serve flags");
   const serve::ServeConfig& config = config_or.value();
 
@@ -514,8 +535,7 @@ int RunServeReplay(const Flags& flags) {
   const std::string subset_path = flags.GetString("subset", "");
   if (!subset_path.empty()) {
     auto loaded = serve::LoadFig3FeatureSubset(
-        subset_path, flags.GetString("method", "importance"),
-        flags.GetInt("top_k", 20));
+        subset_path, flags.GetString("method", "importance"), top_k);
     if (!loaded.ok()) return Fail(loaded.status(), "feature subset");
     subset = std::move(loaded).value();
     std::printf("serving with a %zu-feature mask from %s\n", subset.size(),
@@ -768,6 +788,10 @@ int RunQuery(const Flags& flags) {
     return 2;
   }
   const double cell_deg = flags.GetDouble("hotspots", 0.01);
+  const size_t limit = static_cast<size_t>(flags.GetInt("limit", 20));
+  const int32_t user_id = flags.GetInt("user", 0);
+  const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
+  if (const int code = RejectMalformedFlags(flags)) return code;
   if (!std::isfinite(cell_deg) || cell_deg < store::kMinHotspotCellDeg) {
     std::fprintf(stderr,
                  "query: --hotspots wants a finite cell size of at least "
@@ -785,7 +809,6 @@ int RunQuery(const Flags& flags) {
   }
   auto mask = store::ParseModeMask(flags.GetString("mode", ""));
   if (!mask.ok()) return Fail(mask.status(), "mode mask");
-  const size_t limit = static_cast<size_t>(flags.GetInt("limit", 20));
   const bool oracle = flags.Has("oracle");
 
   store::TrajectoryStore trajectory_store;
@@ -797,7 +820,6 @@ int RunQuery(const Flags& flags) {
               store_path.c_str());
 
   if (flags.Has("user")) {
-    const int32_t user_id = flags.GetInt("user", 0);
     const std::vector<uint32_t> ids =
         trajectory_store.QueryUser(user_id, time);
     std::printf("user %d: %zu segments\n", user_id, ids.size());
@@ -812,7 +834,6 @@ int RunQuery(const Flags& flags) {
   }
 
   if (flags.Has("hotspots")) {
-    const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
     const std::vector<store::HotspotCell> cells =
         trajectory_store.TopKHotspots(cell_deg, k, mask.value());
     std::printf("top %zu hotspot cells (%.4f deg grid)\n", cells.size(),
@@ -874,6 +895,7 @@ int RunStatusz(const Flags& flags) {
   harness.ConfigureTracing(/*always=*/true);
 
   auto config_or = serve::ParseServeFlags(flags, serve::StatuszDefaults());
+  if (const int code = RejectMalformedFlags(flags)) return code;
   if (!config_or.ok()) return Fail(config_or.status(), "serve flags");
   const serve::ServeConfig& config = config_or.value();
 
@@ -928,7 +950,9 @@ int Run(int argc, char** argv) {
   // --threads=N bounds the worker pool (0/absent keeps the process
   // default, which itself honors the TRAJKIT_THREADS environment
   // variable); --metrics_json is read by the commands that dump metrics.
-  HarnessOptions::FromFlags(flags).ApplyThreads();
+  const HarnessOptions harness = HarnessOptions::FromFlags(flags);
+  if (const int code = RejectMalformedFlags(flags)) return code;
+  harness.ApplyThreads();
   if (flags.positional().empty()) {
     std::fputs(kUsage, stderr);
     return 2;
